@@ -14,6 +14,7 @@
 #include "core/delivery.hpp"
 #include "core/fault_plan.hpp"
 #include "core/sharded_delivery.hpp"
+#include "golden.hpp"
 #include "util/random.hpp"
 #include "wire/channel.hpp"
 
@@ -275,6 +276,14 @@ TEST(FaultDelivery, LivenessTimeoutRecordsFailedSenderDiagnostic) {
   // Detection is prompt: liveness timeout (12) plus scheduling slack, not
   // an entire refresh epoch of silence.
   EXPECT_LE(result.failed_peers.front().tick, 30u + 12u + 5u);
+  golden::expect_matches("fault_liveness_timeout", "legacy", service,
+                         content);
+  core::ShardedDelivery sharded(content, fault_options(plan),
+                                core::ShardOptions{1});
+  add_peers(sharded, 2, 1);
+  for (std::size_t t = 0; t < 400; ++t) sharded.tick();
+  golden::expect_matches("fault_liveness_timeout", "shards=1", sharded,
+                         content);
 }
 
 TEST(FaultDelivery, BlackedOutHandshakeExhaustsRetryBudgetWithDiagnostic) {
@@ -304,6 +313,13 @@ TEST(FaultDelivery, BlackedOutHandshakeExhaustsRetryBudgetWithDiagnostic) {
     EXPECT_EQ(failed.peer, 0u);
     EXPECT_EQ(failed.reason, core::FailedPeer::Reason::kHandshakeExhausted);
   }
+  golden::expect_matches("fault_handshake_exhausted", "legacy", service,
+                         content);
+  core::ShardedDelivery sharded(content, options, core::ShardOptions{1});
+  add_peers(sharded, 2, 1);
+  for (std::size_t t = 0; t < 400; ++t) sharded.tick();
+  golden::expect_matches("fault_handshake_exhausted", "shards=1", sharded,
+                         content);
 }
 
 TEST(FaultDelivery, StalledPeerThawsAndCompletes) {
@@ -407,6 +423,97 @@ TEST(FaultDelivery, Shards1MatchesLegacyUnderActiveFaultPlan) {
   drive_lockstep(legacy, 10000);
   drive_lockstep(sharded, 10000);
   expect_same_fault_trajectory(legacy, sharded);
+  golden::expect_matches("fault_churn_plan", "legacy", legacy, content);
+  golden::expect_matches("fault_churn_plan", "shards=1", sharded, content);
+}
+
+// --- The bench_churn swarm -------------------------------------------------
+
+/// The fault-determinism swarm bench_churn runs, at its smoke and full
+/// sizes: timed Gilbert-Elliott burst-loss links, liveness and bounded
+/// retries, and a crash/restart, stall, flash-crowd join and blackout.
+core::DeliveryOptions bench_churn_options() {
+  core::DeliveryOptions options;
+  options.block_size = 64;
+  options.session_seed = 71;
+  options.refresh_interval = 50;
+  options.flow_control = true;
+  options.handshake_retry_ticks = 24;
+  options.link.mtu = 600;
+  options.link.delay_ticks = 2;
+  options.link.jitter_ticks = 1;
+  options.link.rate_bytes_per_tick = 1200.0;
+  options.link.ge_loss_good = 0.01;
+  options.link.ge_loss_bad = 0.5;
+  options.link.ge_p_good_bad = 0.02;
+  options.link.ge_p_bad_good = 0.2;
+  options.liveness_timeout_ticks = 30;
+  options.handshake_backoff_factor = 2;
+  options.handshake_backoff_cap_ticks = 64;
+  options.max_handshake_retries = 6;
+  options.suspect_ttl_ticks = 60;
+  auto plan = std::make_shared<core::FaultPlan>();
+  plan->crashes.push_back({120, 3});
+  plan->restarts.push_back({300, 3});
+  plan->stalls.push_back({150, 250, 4});
+  plan->joins.push_back({200, 2, false});
+  plan->blackouts.push_back({100, 180, 0, 1});
+  options.faults = std::move(plan);
+  return options;
+}
+
+template <typename Service>
+void add_bench_churn_peers(Service& service, std::size_t peers) {
+  for (std::size_t p = 0; p < peers; ++p) {
+    service.add_peer("peer" + std::to_string(p), p < 2);
+  }
+}
+
+/// Ticks until the restart at 300 (the last scheduled fault) has fired
+/// and every peer, joiners included, has completed.
+template <typename Service>
+void drive_bench_churn_lockstep(Service& service, std::size_t max_ticks) {
+  for (std::size_t t = 0; t < max_ticks; ++t) {
+    service.tick();
+    if (service.ticks() <= 300) continue;
+    bool all = true;
+    for (std::size_t p = 0; p < service.peer_count(); ++p) {
+      all = all && service.peer_complete(p);
+    }
+    if (all) return;
+  }
+}
+
+void expect_bench_churn_swarm(const std::string& name, std::size_t peers,
+                              std::size_t content_bytes,
+                              std::size_t max_ticks) {
+  util::Xoshiro256 rng(0xc412 ^ 0x5eed);
+  std::vector<std::uint8_t> content(content_bytes);
+  for (auto& byte : content) byte = static_cast<std::uint8_t>(rng());
+
+  core::ContentDeliveryService lockstep(content, bench_churn_options());
+  add_bench_churn_peers(lockstep, peers);
+  drive_bench_churn_lockstep(lockstep, max_ticks);
+  golden::expect_matches(name, "legacy lockstep", lockstep, content);
+
+  core::ContentDeliveryService jump(content, bench_churn_options());
+  add_bench_churn_peers(jump, peers);
+  jump.run(max_ticks);
+  golden::expect_matches(name, "legacy jump", jump, content);
+
+  core::ShardedDelivery shards1(content, bench_churn_options(),
+                                core::ShardOptions{1});
+  add_bench_churn_peers(shards1, peers);
+  shards1.run(max_ticks);
+  golden::expect_matches(name, "shards=1 jump", shards1, content);
+}
+
+TEST(FaultDelivery, BenchChurnSmokeSwarmMatchesGolden) {
+  expect_bench_churn_swarm("bench_churn_smoke", 6, 64 * 24, 30000);
+}
+
+TEST(FaultDelivery, BenchChurnFullSwarmMatchesGolden) {
+  expect_bench_churn_swarm("bench_churn_full", 8, 64 * 48, 60000);
 }
 
 TEST(FaultDelivery, MultiShardSwarmSurvivesChurn) {

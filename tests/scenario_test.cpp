@@ -15,6 +15,7 @@
 #include "core/delivery.hpp"
 #include "core/scenario.hpp"
 #include "core/sharded_delivery.hpp"
+#include "golden.hpp"
 #include "wire/channel.hpp"
 
 namespace icd {
@@ -443,6 +444,12 @@ TEST(ScenarioRun, ThreeDriversAgreeAndGatesPass) {
   EXPECT_TRUE(baseline.same_trajectory(sharded))
       << "shards=1 diverged from the legacy engine";
   EXPECT_GT(jumped.ticks_skipped, 0u) << "the jump driver must actually jump";
+  golden::expect_matches("scenario_unit_mixed", "legacy lockstep", lockstep,
+                         compiled.content);
+  golden::expect_matches("scenario_unit_mixed", "legacy jump", jump,
+                         compiled.content);
+  golden::expect_matches("scenario_unit_mixed", "shards=1 jump", shards1,
+                         compiled.content);
 
   EXPECT_EQ(baseline.peer_count, 7u) << "both ramped joiners must arrive";
   const auto verdict = core::evaluate_gates(baseline, compiled);

@@ -18,6 +18,7 @@
 #include "core/event_loop.hpp"
 #include "core/origin.hpp"
 #include "core/sharded_delivery.hpp"
+#include "golden.hpp"
 #include "util/random.hpp"
 #include "wire/channel.hpp"
 #include "wire/transport.hpp"
@@ -558,6 +559,9 @@ TEST(SchedulerEngine, Shards1MatchesLegacyUnderTimedLossyLinks) {
   for (std::size_t p = 0; p < peers; ++p) {
     EXPECT_EQ(legacy.peer_content(p), sharded.peer_content(p));
   }
+  golden::expect_matches("scheduler_timed_lossy", "legacy", legacy, content);
+  golden::expect_matches("scheduler_timed_lossy", "shards=1", sharded,
+                         content);
 }
 
 TEST(SchedulerEngine, RateLimitedAsymmetricSwarmCompletesMultiShard) {
@@ -774,6 +778,10 @@ TEST(SchedulerEngine, Shards1MatchesLegacyWithFaultsEnabled) {
   EXPECT_TRUE(sharded.run(30000));
   ASSERT_EQ(legacy.peer_count(), sharded.peer_count());
   expect_same_trajectory(legacy, sharded, legacy.peer_count());
+  golden::expect_matches("scheduler_faults", "legacy lockstep", legacy,
+                         content);
+  golden::expect_matches("scheduler_faults", "shards=1 jump", sharded,
+                         content);
 }
 
 TEST(EventLoopEngine, ShardedJumpMatchesLockstepWithFaultsEnabled) {

@@ -10,6 +10,7 @@
 
 #include "core/delivery.hpp"
 #include "core/sharded_delivery.hpp"
+#include "golden.hpp"
 #include "overlay/simulator.hpp"
 #include "util/random.hpp"
 #include "util/spsc.hpp"
@@ -181,6 +182,8 @@ TEST(ShardedDelivery, Shards1MatchesLegacyServiceBitForBit) {
     EXPECT_EQ(legacy.peer_content(p), sharded.peer_content(p));
     EXPECT_EQ(sharded.peer(p).symbol_count(), legacy.peer(p).symbol_count());
   }
+  golden::expect_matches("sharded_mirror_swarm", "legacy", legacy, content);
+  golden::expect_matches("sharded_mirror_swarm", "shards=1", sharded, content);
 }
 
 TEST(ShardedDelivery, Shards1MatchesLegacyUnderLossAndReorder) {
@@ -202,6 +205,52 @@ TEST(ShardedDelivery, Shards1MatchesLegacyUnderLossAndReorder) {
   EXPECT_EQ(legacy.link_totals().data_bytes, sharded.link_totals().data_bytes);
   EXPECT_EQ(legacy.link_totals().control_bytes,
             sharded.link_totals().control_bytes);
+  golden::expect_matches("sharded_loss_reorder", "legacy", legacy, content);
+  golden::expect_matches("sharded_loss_reorder", "shards=1", sharded, content);
+}
+
+// --- The bench_delivery swarm ----------------------------------------------
+
+/// The 1-shard swarm bench_delivery times, at its smoke and full sizes:
+/// two origin mirrors, a quarter of the peers origin-fed, 512 B blocks,
+/// perfect untimed links, driven tick by tick until every peer completes.
+core::DeliveryOptions bench_delivery_options() {
+  core::DeliveryOptions options;
+  options.block_size = 512;
+  options.max_peer_sessions = 2;
+  options.refresh_interval = 40;
+  return options;
+}
+
+template <typename Service>
+void drive_bench_delivery_swarm(Service& service, std::size_t peers,
+                                std::size_t max_ticks) {
+  service.add_mirror();
+  for (std::size_t p = 0; p < peers; ++p) {
+    service.add_peer("peer" + std::to_string(p), p < peers / 4);
+  }
+  drive(service, peers, max_ticks);
+}
+
+void expect_bench_delivery_swarm(const std::string& name, std::size_t peers,
+                                 std::size_t content_bytes,
+                                 std::size_t max_ticks) {
+  const auto content = random_content(content_bytes, 0xc0ffee);
+  core::ContentDeliveryService legacy(content, bench_delivery_options());
+  drive_bench_delivery_swarm(legacy, peers, max_ticks);
+  golden::expect_matches(name, "legacy", legacy, content);
+  core::ShardedDelivery sharded(content, bench_delivery_options(),
+                                core::ShardOptions{1});
+  drive_bench_delivery_swarm(sharded, peers, max_ticks);
+  golden::expect_matches(name, "shards=1", sharded, content);
+}
+
+TEST(ShardedDelivery, BenchDeliverySmokeSwarmMatchesGolden) {
+  expect_bench_delivery_swarm("bench_delivery_smoke", 8, 16 * 1024, 4000);
+}
+
+TEST(ShardedDelivery, BenchDeliveryFullSwarmMatchesGolden) {
+  expect_bench_delivery_swarm("bench_delivery_full", 64, 96 * 1024, 20000);
 }
 
 // --- Multi-shard swarms (TSAN target) ---------------------------------------
