@@ -7,15 +7,14 @@
 
 /// The discrete-event core of simulated time.
 ///
-/// PR 4 gave every link a virtual clock but both delivery engines still
-/// iterated tick by tick, asking a per-tick scheduler who was due — a
-/// high-RTT rate-limited swarm burned thousands of empty iterations
-/// between frame arrivals. EventLoop promotes that per-tick LinkScheduler
-/// into a true event queue: a global virtual clock plus a deterministic
-/// (time, kind, key) min-queue holding *all* time-driven work — frame
-/// arrivals, token-bucket send-credit refills, handshake retry timers,
-/// flow-control re-issues, and the coordinator's admission/refresh
-/// cadence. Drivers that know every pending event can jump the clock
+/// Timed links give every edge a virtual clock; a delivery engine that
+/// iterates tick by tick, asking a per-tick scheduler who is due, burns
+/// thousands of empty iterations between frame arrivals on a high-RTT
+/// rate-limited swarm. EventLoop is a true event queue instead: a global
+/// virtual clock plus a deterministic (time, kind, key) min-queue holding
+/// *all* time-driven work — frame arrivals, token-bucket send-credit
+/// refills, handshake retry timers, flow-control re-issues, and the
+/// coordinator's admission/refresh cadence. Drivers that know every pending event can jump the clock
 /// straight to the next one (`skip_to`), executing only ticks where
 /// something happens; ticks proven empty are counted, never run.
 ///
@@ -25,9 +24,9 @@
 /// (time, kind) pairs tie-break by ascending key — for service events the
 /// key is the serving peer id, which reproduces the historical lockstep
 /// per-sender map iteration exactly. That tie-break is what keeps the
-/// shards=1 / legacy-engine bit-for-bit gates intact under both the
-/// per-tick scheduler and the jumping loop. See DESIGN.md, "Time and
-/// scheduling model".
+/// per-tick scheduler and the jumping loop on the one trajectory the
+/// golden files (tests/golden/) pin. See DESIGN.md, "Time and scheduling
+/// model".
 namespace icd::core {
 
 class SenderEndpoint;
@@ -256,24 +255,12 @@ std::size_t data_frame_bytes_hint(std::size_t block_size);
 /// (retry clocks must keep counting), the earliest of frame arrival /
 /// send credit during transfer, and nullopt — skip entirely — for a
 /// drained link whose sender is satisfied. Cross-tick planning uses
-/// next_download_event() instead, which replaces the handshake's "now"
+/// schedule_download_events() instead, which replaces the handshake's "now"
 /// with the receiver's retry deadline.
 std::optional<std::uint64_t> next_service_time(const SenderEndpoint& sender,
                                                const ReceiverEndpoint& receiver,
                                                const LinkTimes& times,
                                                std::uint64_t now);
-
-/// Finishes one cross-tick planning round shared by both delivery
-/// engines: schedules the coordinator's next refresh tick (the first
-/// multiple of `refresh_interval` at or after `now` — matching tick()'s
-/// pre-increment modulo check exactly) and returns the earliest planned
-/// event, clamped to `now`. nullopt when no peer is incomplete (the
-/// refresh would be dead work) — callers stop running instead of
-/// jumping.
-std::optional<std::uint64_t> finish_event_planning(EventLoop& loop,
-                                                   std::uint64_t now,
-                                                   std::size_t refresh_interval,
-                                                   bool any_incomplete);
 
 /// Cross-tick planning: schedules one download's future events (frame
 /// arrival, handshake retry, send credit) into `loop`, keyed by `key`.

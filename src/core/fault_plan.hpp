@@ -119,7 +119,7 @@ struct SessionResult {
   codec::DecoderStats decoder_stats;
 };
 
-/// The mutable fault bookkeeping both engines embed: a cursor over the
+/// The mutable fault bookkeeping the delivery engine embeds: a cursor over the
 /// plan's scheduled membership events (so each fires exactly once, at the
 /// top of the first executed tick at or past its time) and the suspect
 /// set fed by liveness expiries and handshake exhaustion. All calls are

@@ -8,6 +8,7 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "core/sharded_delivery.hpp"
 #include "core/swarm.hpp"
 #include "util/hash.hpp"
 #include "util/random.hpp"
@@ -640,6 +641,44 @@ GateVerdict evaluate_gates(const ScenarioOutcome& outcome,
       compiled.gates.control_budget_bytes == 0 ||
       outcome.control_bytes <= compiled.gates.control_budget_bytes;
   return verdict;
+}
+
+ScenarioOutcome harvest_scenario(const ShardedDelivery& service) {
+  ScenarioOutcome outcome;
+  outcome.peer_count = service.peer_count();
+  for (std::size_t p = 0; p < outcome.peer_count; ++p) {
+    outcome.completion_ticks.push_back(service.peer_completion_tick(p));
+    outcome.down_at_end.push_back(service.peer_down(p));
+    outcome.failed_sessions += service.session_result(p).failed_peers.size();
+  }
+  const auto totals = service.link_totals();
+  outcome.control_bytes = totals.control_bytes;
+  outcome.data_bytes = totals.data_bytes;
+  outcome.data_frames = totals.data_frames;
+  outcome.end_tick = service.ticks();
+  outcome.ticks_skipped = service.ticks_skipped();
+  return outcome;
+}
+
+void seed_scenario_peers(ShardedDelivery& service,
+                         const CompiledScenario& compiled) {
+  for (std::size_t p = 0; p < compiled.peers; ++p) {
+    service.add_peer("peer" + std::to_string(p), p < compiled.fed);
+  }
+}
+
+void drive_scenario_lockstep(ShardedDelivery& service,
+                             const CompiledScenario& compiled) {
+  const std::size_t expected = compiled.peers + compiled.total_joins;
+  for (std::uint64_t t = 0; t < compiled.max_ticks; ++t) {
+    service.tick();
+    if (service.peer_count() < expected) continue;
+    bool all = true;
+    for (std::size_t p = 0; p < service.peer_count(); ++p) {
+      all = all && service.peer_complete(p);
+    }
+    if (all) return;
+  }
 }
 
 std::vector<std::string> list_scenario_files(const std::string& dir) {

@@ -83,9 +83,7 @@ void ShardedDelivery::refresh_sessions() {
     rebalance_shards();
   }
   ++refresh_count_;
-  // The loop shape (and the planner's seed chain) is the shared
-  // session_plan code, so with shards = 1 the sessions formed are
-  // bit-for-bit identical to ContentDeliveryService's.
+  // The loop shape and the seed chain's evolution live in session_plan.
   const std::size_t target = static_cast<std::size_t>(
       1.07 * static_cast<double>(parameters().block_count));
   run_refresh_loop(
@@ -236,16 +234,15 @@ void ShardedDelivery::sweep_failed_downloads(std::uint64_t now) {
   }
 }
 
-void ShardedDelivery::service_local_downloads(PeerEntry& entry,
-                                              EventLoop& scheduler) {
-  // Mirrors ContentDeliveryService::service_downloads (the shards=1
-  // bit-for-bit contract): all-untimed peers keep the historical
-  // lockstep loop with zero scheduling overhead; otherwise untimed links
-  // are due every tick in sender order, timed links only when a frame
-  // has arrived or the token bucket grants send credit.
+void ShardedDelivery::service_downloads(PeerEntry& entry,
+                                        EventLoop& scheduler) {
+  // All-untimed peers keep the plain lockstep loop with zero scheduling
+  // overhead; otherwise untimed links are due every tick in sender order,
+  // timed links only when a frame has arrived or the token bucket grants
+  // send credit. At shards = 1 every download is a local ChannelLink.
   bool any_timed = false;
   for (auto& [sender_id, download] : entry.downloads) {
-    if (download->local && download->local->timed()) {
+    if (download->local->timed()) {
       any_timed = true;
       break;
     }
@@ -253,9 +250,8 @@ void ShardedDelivery::service_local_downloads(PeerEntry& entry,
   if (!any_timed) {
     for (auto& [sender_id, download] : entry.downloads) {
       if (entry.peer->has_content()) break;
-      if (!download->local) continue;  // cross: receiver phase handles it
       // Down sender: frozen endpoint, but the receiver keeps ticking so
-      // its liveness clock runs (mirrors the legacy loop).
+      // its liveness clock runs.
       if (!peers_[sender_id].faulted_at_tick_start) {
         download->sender->tick();
         download->sender->send_symbol();
@@ -271,7 +267,6 @@ void ShardedDelivery::service_local_downloads(PeerEntry& entry,
   const std::size_t hint = data_frame_bytes_hint(options_.block_size);
   scheduler.clear();
   for (auto& [sender_id, download] : entry.downloads) {
-    if (!download->local) continue;  // cross: receiver phase handles it
     download->local->advance_to(now);
     LinkTimes times;
     times.timed = download->local->timed();
@@ -302,11 +297,9 @@ void ShardedDelivery::service_local_downloads(PeerEntry& entry,
   }
 }
 
-void ShardedDelivery::phase_send(std::size_t shard) {
-  ShardWork& work = shard_work_[shard];
-  const std::size_t hint = data_frame_bytes_hint(options_.block_size);
-  for (const std::size_t id : work.peers) {
-    PeerEntry& entry = peers_[id];
+void ShardedDelivery::service_inline() {
+  EventLoop& scheduler = shard_work_.front().scheduler;
+  for (PeerEntry& entry : peers_) {
     if (entry.peer->has_content()) {
       entry.pending_origin_id.reset();
       continue;
@@ -314,56 +307,14 @@ void ShardedDelivery::phase_send(std::size_t shard) {
     // A down peer is frozen this tick: no origin apply, no servicing.
     if (entry.faulted_at_tick_start) continue;
     // Origin feed: the coordinator reserved the id (the deterministic
-    // stream order); the XOR-heavy encode runs here, in parallel across
-    // shards — Encoder::encode is a const pure function of the id.
+    // stream order); Encoder::encode is a const pure function of it.
     if (entry.pending_origin_id) {
       entry.peer->receive_encoded(
           origins_[entry.origin_index]->encode(*entry.pending_origin_id));
       entry.pending_origin_id.reset();
       entry.work_units += 1;
     }
-    // Fully-local downloads run end to end, exactly the legacy loop.
-    service_local_downloads(entry, work.scheduler);
-  }
-  // Sender halves of outgoing cross-shard downloads: answer handshakes
-  // and, credit permitting, put this tick's symbol on the ring (the
-  // barrier after this phase is the cross-shard commit point; a timed
-  // link's advance pushes newly arrived frames onto it too).
-  for (Download* download : work.cross_senders) {
-    if (peers_[download->receiver_id].complete_at_tick_start ||
-        peers_[download->receiver_id].faulted_at_tick_start) {
-      continue;
-    }
-    download->cross->advance_a_to(tick_now_);
-    // A down sender goes silent: in-flight frames still cross (the
-    // advance above), but its endpoint is frozen — the receiver's
-    // liveness clock does the failure detection.
-    if (peers_[download->sender_id].faulted_at_tick_start) continue;
-    download->sender->tick();
-    if (!download->cross->timed() ||
-        (!download->sender->satisfied() &&
-         download->cross->a_send_ready_at(hint) <= tick_now_)) {
-      download->sender->send_symbol();
-    }
-    if (batch_budget_ > 0) download->sender_transport().flush_batch();
-    // Charged to the sender: this half runs on (and loads) its shard.
-    peers_[download->sender_id].work_units += 1;
-  }
-}
-
-void ShardedDelivery::phase_receive(std::size_t shard) {
-  for (const std::size_t id : shard_work_[shard].peers) {
-    PeerEntry& entry = peers_[id];
-    if (entry.complete_at_tick_start || entry.faulted_at_tick_start) continue;
-    for (auto& [sender_id, download] : entry.downloads) {
-      if (!download->cross) continue;
-      if (entry.peer->has_content()) break;
-      download->cross->advance_b_to(tick_now_);
-      download->receiver->advance_to(tick_now_);
-      download->receiver->tick();
-      if (batch_budget_ > 0) download->receiver_transport().flush_batch();
-      entry.work_units += 1;
-    }
+    service_downloads(entry, scheduler);
   }
 }
 
@@ -458,22 +409,21 @@ void ShardedDelivery::phase_receive_multi(std::size_t shard) {
   }
 }
 
-std::size_t ShardedDelivery::tick() {
+void ShardedDelivery::tick() {
   // Fault application precedes the refresh so crashed peers are excluded
   // from (and flash-crowd joiners included in) a refresh due this tick.
   if (faults_.active()) apply_faults(ticks_);
   if (ticks_ % std::max<std::size_t>(1, options_.refresh_interval) == 0) {
     refresh_sessions();
   }
-  // Virtual time of this tick (= its index), as in the legacy engine.
+  // Virtual time of this tick (= its index).
   tick_now_ = ticks_;
   ++ticks_;
 
   // Coordinator prologue: completion and fault snapshots (the phases read
   // these instead of cross-shard peer state) and origin draws in peer
-  // order — the same symbol-to-peer assignment as the legacy engine,
-  // which drew at each incomplete subscriber's turn (and skips down
-  // peers, exactly as the legacy tick loop does).
+  // order, skipping complete and down peers — the symbol-to-peer
+  // assignment is fixed here, whatever thread later encodes the symbol.
   for (std::size_t i = 0; i < peers_.size(); ++i) {
     PeerEntry& entry = peers_[i];
     entry.complete_at_tick_start = entry.peer->has_content();
@@ -483,9 +433,9 @@ std::size_t ShardedDelivery::tick() {
       continue;
     }
     if (entry.origin_fed) {
-      // Reserve the id only; the owning shard encodes it in the send
-      // phase. next() ≡ encode(take_next_id()), so the symbol each peer
-      // sees is exactly what the serial draw produced.
+      // Reserve the id only; the owning peer's servicing encodes it.
+      // next() ≡ encode(take_next_id()), so the symbol each peer sees is
+      // exactly what a serial draw produces.
       entry.pending_origin_id =
           origins_[entry.origin_index]->take_next_id();
     }
@@ -502,8 +452,7 @@ std::size_t ShardedDelivery::tick() {
   }
 
   if (!pool_) {
-    phase_send(0);
-    phase_receive(0);
+    service_inline();
   } else {
     const auto start = std::chrono::steady_clock::now();
     pool_->run(send_fn_);
@@ -514,21 +463,16 @@ std::size_t ShardedDelivery::tick() {
             .count());
   }
 
-  // Failure sweep before the completion stamps, as in the legacy engine;
-  // the workers are parked again, so the coordinator owns all state.
+  // Failure sweep before the completion stamps; the workers are parked
+  // again, so the coordinator owns all state.
   if (failure_detection_enabled()) sweep_failed_downloads(ticks_);
 
-  std::size_t completed_now = 0;
   for (PeerEntry& entry : peers_) {
-    if (!entry.complete_at_tick_start && entry.peer->has_content()) {
-      ++completed_now;
-    }
     if (entry.completed_tick == 0 && entry.peer->has_content()) {
       entry.completed_tick = ticks_;
     }
   }
   loop_.advance_to(ticks_);
-  return completed_now;
 }
 
 std::optional<Event> ShardedDelivery::plan_peer_events(std::size_t i,
@@ -561,8 +505,8 @@ std::optional<Event> ShardedDelivery::plan_peer_events(std::size_t i,
   }
   const auto first = plan_scratch_.peek();
   if (!first) return std::nullopt;
-  // Re-keyed to the receiving peer, as in the legacy planner: only the
-  // entry's time feeds the jump target.
+  // Re-keyed to the receiving peer: only the entry's time feeds the jump
+  // target.
   return Event{first->at, first->kind, i};
 }
 
@@ -582,10 +526,10 @@ void ShardedDelivery::replan_peer(std::size_t i, std::uint64_t now) {
 std::optional<std::uint64_t> ShardedDelivery::next_event_time() {
   // Coordinator-only, between pool runs: the workers are parked, so every
   // shard's links and endpoints may be inspected (not mutated) here.
-  // Incremental planning, exactly the legacy engine's scheme: one live
-  // entry per peer; full rebuilds only when the download graph changed
-  // shape, a fault boundary fell in the planning gap, or blackout windows
-  // exist; otherwise only the peers whose entries came due are replanned.
+  // Incremental planning: one live entry per peer; full rebuilds only when
+  // the download graph changed shape, a fault boundary fell in the
+  // planning gap, or blackout windows exist; otherwise only the peers
+  // whose entries came due are replanned.
   const std::uint64_t now = ticks_;
   planner_.ensure_keys(peers_.size());
   if (plan_incomplete_.size() < peers_.size()) {
@@ -617,7 +561,7 @@ std::optional<std::uint64_t> ShardedDelivery::next_event_time() {
   if (incomplete_peers_ == 0 && !faults_.pending_joins()) return std::nullopt;
   std::optional<std::uint64_t> at;
   if (const auto next = planner_.peek()) at = next->at;
-  // Fault boundaries are planning barriers, as in the legacy engine.
+  // Fault boundaries are planning barriers.
   if (faults_.active()) {
     if (const auto boundary = faults_.next_boundary_after(now)) {
       at = at ? std::min(*at, *boundary) : *boundary;

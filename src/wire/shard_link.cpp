@@ -43,7 +43,8 @@ void ShardLink::End::enqueue(std::vector<std::uint8_t> frame) {
 bool ShardLink::End::send_datagram(std::vector<std::uint8_t> frame) {
   if (frame.size() > config_.mtu) return false;
   // Blackout (fault injection) eats the frame before any RNG draw,
-  // exactly as LossyChannel does, so both engines drop the same frames.
+  // exactly as LossyChannel does, so local and cross-shard links drop the
+  // same frames.
   if (blackout_) {
     release_buffer(std::move(frame));
     return true;

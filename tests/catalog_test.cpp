@@ -7,7 +7,6 @@
 
 #include <string>
 
-#include "core/delivery.hpp"
 #include "core/scenario.hpp"
 #include "core/sharded_delivery.hpp"
 #include "golden.hpp"
@@ -23,11 +22,6 @@ TEST(ScenarioCatalog, EveryScenarioMatchesItsGoldenAndPassesItsGates) {
     const auto compiled =
         core::compile_scenario(core::Scenario::parse_file(file));
     const std::string name = "catalog_" + compiled.name;
-
-    core::ContentDeliveryService legacy(compiled.content, compiled.options);
-    core::seed_scenario_peers(legacy, compiled);
-    core::drive_scenario_lockstep(legacy, compiled);
-    golden::expect_matches(name, "legacy lockstep", legacy, compiled.content);
 
     core::ShardedDelivery lockstep(compiled.content, compiled.options,
                                    core::ShardOptions{1});

@@ -1,6 +1,7 @@
-// Tests for the ContentDeliveryService facade: full-fidelity end-to-end
-// delivery with origin mirrors, admission-controlled peer sessions, and
-// verification of reconstructed content.
+// Tests for the delivery engine (ShardedDelivery, inline at shards = 1):
+// full-fidelity end-to-end delivery with origin mirrors,
+// admission-controlled peer sessions, and verification of reconstructed
+// content.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -10,6 +11,7 @@
 #include "core/delivery.hpp"
 #include "core/fault_plan.hpp"
 #include "core/session_plan.hpp"
+#include "core/sharded_delivery.hpp"
 #include "util/random.hpp"
 
 namespace icd::core {
@@ -133,7 +135,7 @@ TEST(OverlapAwareSelection, DemotesOverlappingPairForComplementarySender) {
 
 TEST(DeliveryService, SingleSubscriberDecodesFromOrigin) {
   const auto content = random_content(64 * 200, 1);
-  ContentDeliveryService service(content, small_options());
+  ShardedDelivery service(content, small_options());
   const auto id = service.add_peer("solo", /*subscribe_origin=*/true);
   ASSERT_TRUE(service.run(2000));
   EXPECT_TRUE(service.peer_complete(id));
@@ -144,7 +146,7 @@ TEST(DeliveryService, NonSubscribersFedByPeers) {
   // Two origin-fed peers, three peers reachable only via the overlay: the
   // informed peer sessions must carry the content the rest of the way.
   const auto content = random_content(64 * 150, 2);
-  ContentDeliveryService service(content, small_options());
+  ShardedDelivery service(content, small_options());
   std::vector<std::size_t> ids;
   ids.push_back(service.add_peer("seed-a", true));
   ids.push_back(service.add_peer("seed-b", true));
@@ -161,12 +163,12 @@ TEST(DeliveryService, NonSubscribersFedByPeers) {
 TEST(DeliveryService, MirrorsSpeedUpSubscribers) {
   const auto content = random_content(64 * 200, 3);
 
-  ContentDeliveryService one(content, small_options());
+  ShardedDelivery one(content, small_options());
   one.add_peer("a", true);
   ASSERT_TRUE(one.run(4000));
   const auto single_ticks = one.ticks();
 
-  ContentDeliveryService two(content, small_options());
+  ShardedDelivery two(content, small_options());
   two.add_mirror();
   // Peers round-robin across origins; a pair of subscribers shares the
   // load and both still finish.
@@ -180,7 +182,7 @@ TEST(DeliveryService, MirrorsSpeedUpSubscribers) {
 TEST(DeliveryService, CompletedPeersServeLateJoiners) {
   const auto content = random_content(64 * 120, 4);
   auto options = small_options();
-  ContentDeliveryService service(content, options);
+  ShardedDelivery service(content, options);
   const auto seeder = service.add_peer("seeder", true);
   ASSERT_TRUE(service.run(3000));
   ASSERT_TRUE(service.peer_complete(seeder));
@@ -202,7 +204,7 @@ TEST(DeliveryService, ShortRefreshIntervalDoesNotStarveNearCompletePeers) {
   auto options = small_options();
   options.refresh_interval = 10;
   options.link.loss_rate = 0.1;  // over lossy edges, too
-  ContentDeliveryService service(content, options);
+  ShardedDelivery service(content, options);
   service.add_peer("seed", true);
   const auto leaf = service.add_peer("leaf", false);
   ASSERT_TRUE(service.run(6000));
@@ -216,7 +218,7 @@ TEST(DeliveryService, TinyLinkMtuIsDiagnosableNotSilent) {
   const auto content = random_content(64 * 50, 11);
   auto options = small_options();
   options.link.mtu = 16;
-  ContentDeliveryService service(content, options);
+  ShardedDelivery service(content, options);
   service.add_peer("seed", true);
   const auto leaf = service.add_peer("leaf", false);
   EXPECT_FALSE(service.run(100));
@@ -233,11 +235,11 @@ TEST(DeliveryService, LinkTotalsAreCumulativeAcrossRefreshes) {
   const auto content = random_content(64 * 150, 7);
   auto options = small_options();
   options.refresh_interval = 10;  // force several session teardowns
-  ContentDeliveryService service(content, options);
+  ShardedDelivery service(content, options);
   service.add_peer("seed", true);
   const auto leaf = service.add_peer("leaf", false);
 
-  ContentDeliveryService::LinkTotals previous;
+  ShardedDelivery::LinkTotals previous;
   std::size_t refreshes_observed = 0;
   for (int t = 0; t < 600 && !service.peer_complete(leaf); ++t) {
     service.tick();
@@ -277,7 +279,7 @@ TEST(DeliveryService, SuspectOnlyNovelSenderIsReadmittedAfterTtlExpiry) {
   options.max_handshake_retries = 4;
   options.suspect_ttl_ticks = 60;
   const auto content = random_content(64 * 60, 77);
-  ContentDeliveryService service(content, options);
+  ShardedDelivery service(content, options);
   service.add_peer("source", true);
   service.add_peer("leaf", false);
 
@@ -304,7 +306,7 @@ TEST(DeliveryService, SuspectOnlyNovelSenderIsReadmittedAfterTtlExpiry) {
 
 TEST(DeliveryService, TicksAreCountedAndContentIsStable) {
   const auto content = random_content(64 * 50, 5);
-  ContentDeliveryService service(content, small_options());
+  ShardedDelivery service(content, small_options());
   const auto id = service.add_peer("a", true);
   EXPECT_EQ(service.ticks(), 0u);
   service.tick();

@@ -3,7 +3,7 @@
 // behavior — crash teardown with session resumption on restart, liveness
 // timeouts and handshake-retry exhaustion surfacing in
 // SessionResult::failed_peers, flash-crowd joins keeping run loops open,
-// and the legacy-vs-sharded equality contract holding with faults enabled.
+// and the shards=1 golden trajectories holding with faults enabled.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -225,8 +225,8 @@ core::DeliveryOptions fault_options(std::shared_ptr<core::FaultPlan> plan) {
   return options;
 }
 
-template <typename Service>
-void add_peers(Service& service, std::size_t peers, std::size_t fed) {
+void add_peers(core::ShardedDelivery& service, std::size_t peers,
+               std::size_t fed) {
   for (std::size_t p = 0; p < peers; ++p) {
     service.add_peer("p" + std::to_string(p), p < fed);
   }
@@ -237,7 +237,7 @@ TEST(FaultDelivery, CrashedPeerIsDownThenRestartsAndCompletes) {
   plan->crashes.push_back({30, 3});
   plan->restarts.push_back({90, 3});
   const auto content = random_content(64 * 40, 61);
-  core::ContentDeliveryService service(content, fault_options(plan));
+  core::ShardedDelivery service(content, fault_options(plan));
   add_peers(service, 5, 2);
 
   for (std::size_t t = 0; t < 31; ++t) service.tick();
@@ -262,7 +262,7 @@ TEST(FaultDelivery, LivenessTimeoutRecordsFailedSenderDiagnostic) {
   auto plan = std::make_shared<core::FaultPlan>();
   plan->crashes.push_back({30, 0});
   const auto content = random_content(64 * 60, 62);
-  core::ContentDeliveryService service(content, fault_options(plan));
+  core::ShardedDelivery service(content, fault_options(plan));
   add_peers(service, 2, 1);
 
   for (std::size_t t = 0; t < 400; ++t) service.tick();
@@ -276,13 +276,7 @@ TEST(FaultDelivery, LivenessTimeoutRecordsFailedSenderDiagnostic) {
   // Detection is prompt: liveness timeout (12) plus scheduling slack, not
   // an entire refresh epoch of silence.
   EXPECT_LE(result.failed_peers.front().tick, 30u + 12u + 5u);
-  golden::expect_matches("fault_liveness_timeout", "legacy", service,
-                         content);
-  core::ShardedDelivery sharded(content, fault_options(plan),
-                                core::ShardOptions{1});
-  add_peers(sharded, 2, 1);
-  for (std::size_t t = 0; t < 400; ++t) sharded.tick();
-  golden::expect_matches("fault_liveness_timeout", "shards=1", sharded,
+  golden::expect_matches("fault_liveness_timeout", "shards=1", service,
                          content);
 }
 
@@ -301,7 +295,7 @@ TEST(FaultDelivery, BlackedOutHandshakeExhaustsRetryBudgetWithDiagnostic) {
   // bounded-failure path can fire.
   options.refresh_interval = 100;
   const auto content = random_content(64 * 40, 63);
-  core::ContentDeliveryService service(content, options);
+  core::ShardedDelivery service(content, options);
   add_peers(service, 2, 1);
 
   for (std::size_t t = 0; t < 400; ++t) service.tick();
@@ -313,12 +307,7 @@ TEST(FaultDelivery, BlackedOutHandshakeExhaustsRetryBudgetWithDiagnostic) {
     EXPECT_EQ(failed.peer, 0u);
     EXPECT_EQ(failed.reason, core::FailedPeer::Reason::kHandshakeExhausted);
   }
-  golden::expect_matches("fault_handshake_exhausted", "legacy", service,
-                         content);
-  core::ShardedDelivery sharded(content, options, core::ShardOptions{1});
-  add_peers(sharded, 2, 1);
-  for (std::size_t t = 0; t < 400; ++t) sharded.tick();
-  golden::expect_matches("fault_handshake_exhausted", "shards=1", sharded,
+  golden::expect_matches("fault_handshake_exhausted", "shards=1", service,
                          content);
 }
 
@@ -326,7 +315,7 @@ TEST(FaultDelivery, StalledPeerThawsAndCompletes) {
   auto plan = std::make_shared<core::FaultPlan>();
   plan->stalls.push_back({10, 80, 2});
   const auto content = random_content(64 * 60, 64);
-  core::ContentDeliveryService service(content, fault_options(plan));
+  core::ShardedDelivery service(content, fault_options(plan));
   add_peers(service, 4, 2);
 
   ASSERT_TRUE(service.run(8000));
@@ -342,7 +331,7 @@ TEST(FaultDelivery, FlashCrowdJoinersAreServedAndRunWaitsForThem) {
   auto plan = std::make_shared<core::FaultPlan>();
   plan->joins.push_back({40, 3, false});
   const auto content = random_content(64 * 40, 65);
-  core::ContentDeliveryService service(content, fault_options(plan));
+  core::ShardedDelivery service(content, fault_options(plan));
   add_peers(service, 3, 1);
   EXPECT_EQ(service.peer_count(), 3u);
 
@@ -358,7 +347,7 @@ TEST(FaultDelivery, FlashCrowdJoinersAreServedAndRunWaitsForThem) {
   }
 }
 
-// --- Cross-engine equality with faults enabled ------------------------------
+// --- Golden trajectory with faults enabled ----------------------------------
 
 std::shared_ptr<core::FaultPlan> churn_plan() {
   auto plan = std::make_shared<core::FaultPlan>();
@@ -370,8 +359,7 @@ std::shared_ptr<core::FaultPlan> churn_plan() {
   return plan;
 }
 
-template <typename Service>
-void drive_lockstep(Service& service, std::size_t max_ticks) {
+void drive_lockstep(core::ShardedDelivery& service, std::size_t max_ticks) {
   for (std::size_t t = 0; t < max_ticks; ++t) {
     service.tick();
     if (service.ticks() < 100) continue;  // past every scheduled fault
@@ -383,47 +371,12 @@ void drive_lockstep(Service& service, std::size_t max_ticks) {
   }
 }
 
-template <typename A, typename B>
-void expect_same_fault_trajectory(A& left, B& right) {
-  ASSERT_EQ(left.peer_count(), right.peer_count());
-  for (std::size_t p = 0; p < left.peer_count(); ++p) {
-    ASSERT_NE(left.peer_completion_tick(p), 0u) << "peer " << p << " stuck";
-    EXPECT_EQ(left.peer_completion_tick(p), right.peer_completion_tick(p))
-        << "peer " << p;
-    EXPECT_EQ(left.peer_content(p), right.peer_content(p)) << "peer " << p;
-    const auto left_result = left.session_result(p);
-    const auto right_result = right.session_result(p);
-    ASSERT_EQ(left_result.failed_peers.size(),
-              right_result.failed_peers.size())
-        << "peer " << p;
-    for (std::size_t i = 0; i < left_result.failed_peers.size(); ++i) {
-      EXPECT_EQ(left_result.failed_peers[i].peer,
-                right_result.failed_peers[i].peer);
-      EXPECT_EQ(left_result.failed_peers[i].tick,
-                right_result.failed_peers[i].tick);
-      EXPECT_EQ(left_result.failed_peers[i].reason,
-                right_result.failed_peers[i].reason);
-    }
-  }
-  const auto left_totals = left.link_totals();
-  const auto right_totals = right.link_totals();
-  EXPECT_EQ(left_totals.control_bytes, right_totals.control_bytes);
-  EXPECT_EQ(left_totals.control_frames, right_totals.control_frames);
-  EXPECT_EQ(left_totals.data_bytes, right_totals.data_bytes);
-  EXPECT_EQ(left_totals.data_frames, right_totals.data_frames);
-}
-
-TEST(FaultDelivery, Shards1MatchesLegacyUnderActiveFaultPlan) {
+TEST(FaultDelivery, Shards1MatchesGoldenUnderActiveFaultPlan) {
   const auto content = random_content(64 * 40, 66);
-  core::ContentDeliveryService legacy(content, fault_options(churn_plan()));
   core::ShardedDelivery sharded(content, fault_options(churn_plan()),
                                 core::ShardOptions{/*shards=*/1});
-  add_peers(legacy, 5, 2);
   add_peers(sharded, 5, 2);
-  drive_lockstep(legacy, 10000);
   drive_lockstep(sharded, 10000);
-  expect_same_fault_trajectory(legacy, sharded);
-  golden::expect_matches("fault_churn_plan", "legacy", legacy, content);
   golden::expect_matches("fault_churn_plan", "shards=1", sharded, content);
 }
 
@@ -462,8 +415,8 @@ core::DeliveryOptions bench_churn_options() {
   return options;
 }
 
-template <typename Service>
-void add_bench_churn_peers(Service& service, std::size_t peers) {
+void add_bench_churn_peers(core::ShardedDelivery& service,
+                           std::size_t peers) {
   for (std::size_t p = 0; p < peers; ++p) {
     service.add_peer("peer" + std::to_string(p), p < 2);
   }
@@ -471,8 +424,8 @@ void add_bench_churn_peers(Service& service, std::size_t peers) {
 
 /// Ticks until the restart at 300 (the last scheduled fault) has fired
 /// and every peer, joiners included, has completed.
-template <typename Service>
-void drive_bench_churn_lockstep(Service& service, std::size_t max_ticks) {
+void drive_bench_churn_lockstep(core::ShardedDelivery& service,
+                                std::size_t max_ticks) {
   for (std::size_t t = 0; t < max_ticks; ++t) {
     service.tick();
     if (service.ticks() <= 300) continue;
@@ -491,21 +444,17 @@ void expect_bench_churn_swarm(const std::string& name, std::size_t peers,
   std::vector<std::uint8_t> content(content_bytes);
   for (auto& byte : content) byte = static_cast<std::uint8_t>(rng());
 
-  core::ContentDeliveryService lockstep(content, bench_churn_options());
+  core::ShardedDelivery lockstep(content, bench_churn_options(),
+                                 core::ShardOptions{1});
   add_bench_churn_peers(lockstep, peers);
   drive_bench_churn_lockstep(lockstep, max_ticks);
-  golden::expect_matches(name, "legacy lockstep", lockstep, content);
+  golden::expect_matches(name, "shards=1 lockstep", lockstep, content);
 
-  core::ContentDeliveryService jump(content, bench_churn_options());
+  core::ShardedDelivery jump(content, bench_churn_options(),
+                             core::ShardOptions{1});
   add_bench_churn_peers(jump, peers);
   jump.run(max_ticks);
-  golden::expect_matches(name, "legacy jump", jump, content);
-
-  core::ShardedDelivery shards1(content, bench_churn_options(),
-                                core::ShardOptions{1});
-  add_bench_churn_peers(shards1, peers);
-  shards1.run(max_ticks);
-  golden::expect_matches(name, "shards=1 jump", shards1, content);
+  golden::expect_matches(name, "shards=1 jump", jump, content);
 }
 
 TEST(FaultDelivery, BenchChurnSmokeSwarmMatchesGolden) {

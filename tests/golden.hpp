@@ -24,7 +24,7 @@
 #include <string>
 #include <vector>
 
-#include "core/fault_plan.hpp"
+#include "core/sharded_delivery.hpp"
 
 namespace icd::golden {
 
@@ -32,8 +32,7 @@ inline std::string path(const std::string& name) {
   return std::string(ICD_SOURCE_DIR) + "/tests/golden/" + name + ".golden";
 }
 
-template <typename Engine>
-std::string render(const Engine& engine) {
+inline std::string render(const core::ShardedDelivery& engine) {
   std::ostringstream out;
   out << "peers " << engine.peer_count() << "\n";
   for (std::size_t p = 0; p < engine.peer_count(); ++p) {
@@ -72,10 +71,9 @@ inline std::string load(const std::string& name) {
 /// EXPECTs the engine's end state to equal golden `name` and every
 /// completed peer to hold exactly `content`. `driver` labels the run in
 /// failure messages.
-template <typename Engine>
-void expect_matches(const std::string& name, const std::string& driver,
-                    const Engine& engine,
-                    const std::vector<std::uint8_t>& content) {
+inline void expect_matches(const std::string& name, const std::string& driver,
+                           const core::ShardedDelivery& engine,
+                           const std::vector<std::uint8_t>& content) {
   const std::string observed = render(engine);
   if (observed != load(name)) {
     ADD_FAILURE() << driver << " run differs from " << path(name)

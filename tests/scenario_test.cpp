@@ -3,8 +3,8 @@
 // unknown profile names — every malformed input throws with the origin and
 // line number, never UB), arrival-process generation (seeded Poisson and
 // flash ramps compiled into sorted FaultPlan joins), access-link edge
-// composition, and a full compile-and-run through all three drivers with
-// the determinism contracts and pass gates enforced.
+// composition, and a full compile-and-run through the lockstep and jump
+// drivers against its golden trajectory with the pass gates enforced.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -12,7 +12,6 @@
 #include <string>
 #include <vector>
 
-#include "core/delivery.hpp"
 #include "core/scenario.hpp"
 #include "core/sharded_delivery.hpp"
 #include "golden.hpp"
@@ -419,37 +418,27 @@ TEST(ScenarioCompile, LowersShapeFaultsAndGates) {
   EXPECT_NE(core::compile_scenario(reseeded).content, compiled.content);
 }
 
-TEST(ScenarioRun, ThreeDriversAgreeAndGatesPass) {
+TEST(ScenarioRun, DriversMatchGoldenAndGatesPass) {
   const auto compiled =
       core::compile_scenario(Scenario::parse_text(kRunnableScenario));
 
-  core::ContentDeliveryService lockstep(compiled.content, compiled.options);
+  core::ShardedDelivery lockstep(compiled.content, compiled.options);
   core::seed_scenario_peers(lockstep, compiled);
   core::drive_scenario_lockstep(lockstep, compiled);
   const auto baseline = core::harvest_scenario(lockstep);
 
-  core::ContentDeliveryService jump(compiled.content, compiled.options);
+  core::ShardedDelivery jump(compiled.content, compiled.options);
   core::seed_scenario_peers(jump, compiled);
   jump.run(compiled.max_ticks);
   const auto jumped = core::harvest_scenario(jump);
 
-  core::ShardedDelivery shards1(compiled.content, compiled.options,
-                                core::ShardOptions{1});
-  core::seed_scenario_peers(shards1, compiled);
-  shards1.run(compiled.max_ticks);
-  const auto sharded = core::harvest_scenario(shards1);
-
+  golden::expect_matches("scenario_unit_mixed", "lockstep", lockstep,
+                         compiled.content);
+  golden::expect_matches("scenario_unit_mixed", "jump", jump,
+                         compiled.content);
   EXPECT_TRUE(baseline.same_trajectory(jumped))
       << "event-loop jump diverged from lockstep";
-  EXPECT_TRUE(baseline.same_trajectory(sharded))
-      << "shards=1 diverged from the legacy engine";
   EXPECT_GT(jumped.ticks_skipped, 0u) << "the jump driver must actually jump";
-  golden::expect_matches("scenario_unit_mixed", "legacy lockstep", lockstep,
-                         compiled.content);
-  golden::expect_matches("scenario_unit_mixed", "legacy jump", jump,
-                         compiled.content);
-  golden::expect_matches("scenario_unit_mixed", "shards=1 jump", shards1,
-                         compiled.content);
 
   EXPECT_EQ(baseline.peer_count, 7u) << "both ramped joiners must arrive";
   const auto verdict = core::evaluate_gates(baseline, compiled);

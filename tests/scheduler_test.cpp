@@ -2,9 +2,8 @@
 // distributions, multi-hop residency, per-hop token-bucket rate limits),
 // the EventLoop (time, kind, key) queue and its global clock, closed-loop
 // flow control (Request re-issue stops senders at satisfaction), the
-// shards=1 scheduler-vs-legacy bit-for-bit gate, and the
-// jumping-vs-lockstep trajectory equality gates under timed, lossy,
-// reordering links.
+// shards=1 golden-trajectory gates, and the jumping-vs-lockstep trajectory
+// equality gates under timed, lossy, reordering links.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -513,9 +512,8 @@ core::DeliveryOptions timed_options() {
   return options;
 }
 
-template <typename Service>
-std::vector<std::size_t> drive(Service& service, std::size_t peers,
-                               std::size_t max_ticks) {
+std::vector<std::size_t> drive(core::ShardedDelivery& service,
+                               std::size_t peers, std::size_t max_ticks) {
   std::vector<std::size_t> completion(peers, 0);
   for (std::size_t t = 0; t < max_ticks; ++t) {
     service.tick();
@@ -531,35 +529,18 @@ std::vector<std::size_t> drive(Service& service, std::size_t peers,
   return completion;
 }
 
-TEST(SchedulerEngine, Shards1MatchesLegacyUnderTimedLossyLinks) {
+TEST(SchedulerEngine, Shards1MatchesGoldenUnderTimedLossyLinks) {
   const auto content = random_content(64 * 60, 31);
   const std::size_t peers = 5;
-
-  core::ContentDeliveryService legacy(content, timed_options());
   core::ShardedDelivery sharded(content, timed_options(),
                                 core::ShardOptions{/*shards=*/1});
   for (std::size_t p = 0; p < peers; ++p) {
-    legacy.add_peer("p" + std::to_string(p), p < 2);
     sharded.add_peer("p" + std::to_string(p), p < 2);
   }
-
-  const auto legacy_completion = drive(legacy, peers, 12000);
-  const auto sharded_completion = drive(sharded, peers, 12000);
+  const auto completion = drive(sharded, peers, 12000);
   for (std::size_t p = 0; p < peers; ++p) {
-    ASSERT_NE(legacy_completion[p], 0u) << "legacy peer " << p << " stuck";
+    ASSERT_NE(completion[p], 0u) << "peer " << p << " stuck";
   }
-  EXPECT_EQ(legacy_completion, sharded_completion);
-
-  const auto legacy_totals = legacy.link_totals();
-  const auto sharded_totals = sharded.link_totals();
-  EXPECT_EQ(legacy_totals.control_bytes, sharded_totals.control_bytes);
-  EXPECT_EQ(legacy_totals.control_frames, sharded_totals.control_frames);
-  EXPECT_EQ(legacy_totals.data_bytes, sharded_totals.data_bytes);
-  EXPECT_EQ(legacy_totals.data_frames, sharded_totals.data_frames);
-  for (std::size_t p = 0; p < peers; ++p) {
-    EXPECT_EQ(legacy.peer_content(p), sharded.peer_content(p));
-  }
-  golden::expect_matches("scheduler_timed_lossy", "legacy", legacy, content);
   golden::expect_matches("scheduler_timed_lossy", "shards=1", sharded,
                          content);
 }
@@ -605,7 +586,7 @@ TEST(SchedulerEngine, FrameHintLargerThanBurstDoesNotStarveDownloads) {
   options.link.rate_bytes_per_tick = 700.0;
   const auto content = random_content(1024 * 20, 36);
   const std::size_t peers = 3;
-  core::ContentDeliveryService service(content, options);
+  core::ShardedDelivery service(content, options);
   for (std::size_t p = 0; p < peers; ++p) {
     service.add_peer("p" + std::to_string(p), p < 1);
   }
@@ -636,9 +617,8 @@ core::DeliveryOptions jumpy_options(overlay::Strategy strategy) {
   return options;
 }
 
-/// Drives the engine tick by tick — the PR 4 lockstep loop, no jumping.
-template <typename Service>
-void drive_lockstep(Service& service, std::size_t max_ticks) {
+/// Drives the engine tick by tick — the lockstep loop, no jumping.
+void drive_lockstep(core::ShardedDelivery& service, std::size_t max_ticks) {
   for (std::size_t t = 0; t < max_ticks; ++t) {
     service.tick();
     bool all = true;
@@ -649,15 +629,15 @@ void drive_lockstep(Service& service, std::size_t max_ticks) {
   }
 }
 
-template <typename Service>
-void add_peers(Service& service, std::size_t peers) {
+void add_peers(core::ShardedDelivery& service, std::size_t peers) {
   for (std::size_t p = 0; p < peers; ++p) {
     service.add_peer("p" + std::to_string(p), p < 2);
   }
 }
 
-template <typename A, typename B>
-void expect_same_trajectory(A& lockstep, B& jumped, std::size_t peers) {
+void expect_same_trajectory(const core::ShardedDelivery& lockstep,
+                            const core::ShardedDelivery& jumped,
+                            std::size_t peers) {
   for (std::size_t p = 0; p < peers; ++p) {
     ASSERT_NE(lockstep.peer_completion_tick(p), 0u) << "peer " << p;
     EXPECT_EQ(lockstep.peer_completion_tick(p), jumped.peer_completion_tick(p))
@@ -681,8 +661,8 @@ TEST(EventLoopEngine, JumpedRunMatchesLockstepForEveryStrategy) {
       overlay::Strategy::kRecodeMinwise};
   std::uint64_t total_skipped = 0;
   for (const auto strategy : strategies) {
-    core::ContentDeliveryService lockstep(content, jumpy_options(strategy));
-    core::ContentDeliveryService jumped(content, jumpy_options(strategy));
+    core::ShardedDelivery lockstep(content, jumpy_options(strategy));
+    core::ShardedDelivery jumped(content, jumpy_options(strategy));
     add_peers(lockstep, peers);
     add_peers(jumped, peers);
     drive_lockstep(lockstep, 30000);
@@ -738,8 +718,8 @@ core::DeliveryOptions faulty_options() {
 
 /// Lockstep driver that keeps ticking until every peer (including late
 /// joiners) is complete and every scheduled fault has fired.
-template <typename Service>
-void drive_lockstep_past_faults(Service& service, std::size_t max_ticks) {
+void drive_lockstep_past_faults(core::ShardedDelivery& service,
+                                std::size_t max_ticks) {
   for (std::size_t t = 0; t < max_ticks; ++t) {
     service.tick();
     if (service.ticks() <= 300) continue;  // the last scheduled fault
@@ -756,8 +736,8 @@ TEST(EventLoopEngine, JumpedRunMatchesLockstepWithFaultsEnabled) {
   // (kPeerFault planning events) — a jump that overshot a crash tick or a
   // blackout edge would diverge from the lockstep trajectory immediately.
   const auto content = random_content(64 * 40, 45);
-  core::ContentDeliveryService lockstep(content, faulty_options());
-  core::ContentDeliveryService jumped(content, faulty_options());
+  core::ShardedDelivery lockstep(content, faulty_options());
+  core::ShardedDelivery jumped(content, faulty_options());
   add_peers(lockstep, 5);
   add_peers(jumped, 5);
   drive_lockstep_past_faults(lockstep, 30000);
@@ -767,20 +747,19 @@ TEST(EventLoopEngine, JumpedRunMatchesLockstepWithFaultsEnabled) {
   EXPECT_GT(jumped.ticks_skipped(), 0u) << "the jump never engaged";
 }
 
-TEST(SchedulerEngine, Shards1MatchesLegacyWithFaultsEnabled) {
+TEST(SchedulerEngine, Shards1MatchesGoldenWithFaultsEnabled) {
   const auto content = random_content(64 * 40, 46);
-  core::ContentDeliveryService legacy(content, faulty_options());
-  core::ShardedDelivery sharded(content, faulty_options(),
-                                core::ShardOptions{/*shards=*/1});
-  add_peers(legacy, 5);
-  add_peers(sharded, 5);
-  drive_lockstep_past_faults(legacy, 30000);
-  EXPECT_TRUE(sharded.run(30000));
-  ASSERT_EQ(legacy.peer_count(), sharded.peer_count());
-  expect_same_trajectory(legacy, sharded, legacy.peer_count());
-  golden::expect_matches("scheduler_faults", "legacy lockstep", legacy,
+  core::ShardedDelivery lockstep(content, faulty_options(),
+                                 core::ShardOptions{/*shards=*/1});
+  core::ShardedDelivery jumped(content, faulty_options(),
+                               core::ShardOptions{/*shards=*/1});
+  add_peers(lockstep, 5);
+  add_peers(jumped, 5);
+  drive_lockstep_past_faults(lockstep, 30000);
+  EXPECT_TRUE(jumped.run(30000));
+  golden::expect_matches("scheduler_faults", "shards=1 lockstep", lockstep,
                          content);
-  golden::expect_matches("scheduler_faults", "shards=1 jump", sharded,
+  golden::expect_matches("scheduler_faults", "shards=1 jump", jumped,
                          content);
 }
 
@@ -811,9 +790,9 @@ TEST(SchedulerEngine, FlowControlAloneKeepsLegacyTrajectory) {
   options.flow_control = true;
   const auto content = random_content(64 * 60, 34);
   const std::size_t peers = 5;
-  core::ContentDeliveryService with_fc(content, options);
+  core::ShardedDelivery with_fc(content, options);
   options.flow_control = false;
-  core::ContentDeliveryService without_fc(content, options);
+  core::ShardedDelivery without_fc(content, options);
   for (std::size_t p = 0; p < peers; ++p) {
     with_fc.add_peer("p" + std::to_string(p), p < 2);
     without_fc.add_peer("p" + std::to_string(p), p < 2);

@@ -1,6 +1,6 @@
-// Sharded delivery engine: determinism contract (shards = 1 is bit-for-bit
-// the legacy ContentDeliveryService), multi-shard swarm correctness (run
-// under TSAN in CI), SPSC ring and cross-shard link plumbing, and the
+// Sharded delivery engine: determinism contract (shards = 1 reproduces its
+// golden trajectories under tests/golden/ bit for bit), multi-shard swarm
+// correctness (run under TSAN in CI), SPSC ring and cross-shard link plumbing, and the
 // per-tick control-frame batching layer.
 #include <gtest/gtest.h>
 
@@ -38,9 +38,8 @@ core::DeliveryOptions small_options() {
 
 /// Drives a service tick by tick, recording the tick at which each peer
 /// completed, until all complete or max_ticks pass.
-template <typename Service>
-std::vector<std::size_t> drive(Service& service, std::size_t peers,
-                               std::size_t max_ticks) {
+std::vector<std::size_t> drive(core::ShardedDelivery& service,
+                               std::size_t peers, std::size_t max_ticks) {
   std::vector<std::size_t> completion(peers, 0);
   for (std::size_t t = 0; t < max_ticks; ++t) {
     service.tick();
@@ -147,65 +146,37 @@ TEST(ShardLink, AppliesBernoulliLossSenderSide) {
   EXPECT_EQ(link.a().stats().frames_sent, 400u);
 }
 
-// --- Determinism: shards = 1 vs the legacy engine ---------------------------
+// --- Determinism: shards = 1 vs the golden trajectories --------------------
 
-TEST(ShardedDelivery, Shards1MatchesLegacyServiceBitForBit) {
+TEST(ShardedDelivery, Shards1MatchesGoldenTrajectory) {
   const auto content = random_content(64 * 100, 21);
   const std::size_t peers = 6;
-
-  core::ContentDeliveryService legacy(content, small_options());
-  legacy.add_mirror();
   core::ShardedDelivery sharded(content, small_options(),
                                 core::ShardOptions{/*shards=*/1});
   sharded.add_mirror();
   for (std::size_t p = 0; p < peers; ++p) {
-    legacy.add_peer("p" + std::to_string(p), p < 2);
     sharded.add_peer("p" + std::to_string(p), p < 2);
   }
-
-  const auto legacy_completion = drive(legacy, peers, 5000);
-  const auto sharded_completion = drive(sharded, peers, 5000);
-
-  // Per-peer completion ticks — the full order, not just the set.
-  EXPECT_EQ(legacy_completion, sharded_completion);
-  // Byte accounting, cumulative across refresh teardowns.
-  const auto legacy_totals = legacy.link_totals();
-  const auto sharded_totals = sharded.link_totals();
-  EXPECT_EQ(legacy_totals.control_bytes, sharded_totals.control_bytes);
-  EXPECT_EQ(legacy_totals.control_frames, sharded_totals.control_frames);
-  EXPECT_EQ(legacy_totals.data_bytes, sharded_totals.data_bytes);
-  EXPECT_EQ(legacy_totals.data_frames, sharded_totals.data_frames);
-  // Reconstructed bytes.
+  drive(sharded, peers, 5000);
   for (std::size_t p = 0; p < peers; ++p) {
-    ASSERT_TRUE(legacy.peer_complete(p));
     ASSERT_TRUE(sharded.peer_complete(p));
-    EXPECT_EQ(legacy.peer_content(p), sharded.peer_content(p));
-    EXPECT_EQ(sharded.peer(p).symbol_count(), legacy.peer(p).symbol_count());
   }
-  golden::expect_matches("sharded_mirror_swarm", "legacy", legacy, content);
   golden::expect_matches("sharded_mirror_swarm", "shards=1", sharded, content);
 }
 
-TEST(ShardedDelivery, Shards1MatchesLegacyUnderLossAndReorder) {
+TEST(ShardedDelivery, Shards1MatchesGoldenUnderLossAndReorder) {
   auto options = small_options();
   options.link.loss_rate = 0.08;
   options.link.reorder_rate = 0.1;
   options.link.mtu = 600;
   const auto content = random_content(64 * 60, 22);
   const std::size_t peers = 5;
-
-  core::ContentDeliveryService legacy(content, options);
   core::ShardedDelivery sharded(content, options,
                                 core::ShardOptions{/*shards=*/1});
   for (std::size_t p = 0; p < peers; ++p) {
-    legacy.add_peer("p" + std::to_string(p), p < 2);
     sharded.add_peer("p" + std::to_string(p), p < 2);
   }
-  EXPECT_EQ(drive(legacy, peers, 8000), drive(sharded, peers, 8000));
-  EXPECT_EQ(legacy.link_totals().data_bytes, sharded.link_totals().data_bytes);
-  EXPECT_EQ(legacy.link_totals().control_bytes,
-            sharded.link_totals().control_bytes);
-  golden::expect_matches("sharded_loss_reorder", "legacy", legacy, content);
+  drive(sharded, peers, 8000);
   golden::expect_matches("sharded_loss_reorder", "shards=1", sharded, content);
 }
 
@@ -222,26 +193,17 @@ core::DeliveryOptions bench_delivery_options() {
   return options;
 }
 
-template <typename Service>
-void drive_bench_delivery_swarm(Service& service, std::size_t peers,
-                                std::size_t max_ticks) {
-  service.add_mirror();
-  for (std::size_t p = 0; p < peers; ++p) {
-    service.add_peer("peer" + std::to_string(p), p < peers / 4);
-  }
-  drive(service, peers, max_ticks);
-}
-
 void expect_bench_delivery_swarm(const std::string& name, std::size_t peers,
                                  std::size_t content_bytes,
                                  std::size_t max_ticks) {
   const auto content = random_content(content_bytes, 0xc0ffee);
-  core::ContentDeliveryService legacy(content, bench_delivery_options());
-  drive_bench_delivery_swarm(legacy, peers, max_ticks);
-  golden::expect_matches(name, "legacy", legacy, content);
   core::ShardedDelivery sharded(content, bench_delivery_options(),
                                 core::ShardOptions{1});
-  drive_bench_delivery_swarm(sharded, peers, max_ticks);
+  sharded.add_mirror();
+  for (std::size_t p = 0; p < peers; ++p) {
+    sharded.add_peer("peer" + std::to_string(p), p < peers / 4);
+  }
+  drive(sharded, peers, max_ticks);
   golden::expect_matches(name, "shards=1", sharded, content);
 }
 
