@@ -132,9 +132,4 @@ inline void xor_into(std::vector<std::uint8_t>& dst,
   xor_into(dst, std::span<const std::uint8_t>(src));
 }
 
-/// Serialized wire sizes (header + payload), used by the simulator to charge
-/// bandwidth.
-std::size_t wire_bytes(const EncodedSymbol& symbol);
-std::size_t wire_bytes(const RecodedSymbol& symbol);
-
 }  // namespace icd::codec

@@ -4,14 +4,13 @@
 
 #include "codec/recoder.hpp"
 
-/// Shared knobs for the Section 6 simulations.
+/// Shared knobs for the Section 6 transfer harnesses (overlay/node and
+/// overlay/transfer, behind the Figure 5-8 benches).
 ///
 /// Per-edge wire behavior (loss, reordering, MTU, and the simulated-time
-/// delay/jitter/rate knobs) is not configured here but on the
-/// wire::ChannelConfig each harness takes alongside this struct —
-/// AdaptiveOverlayConfig::link / link_config for the overlay simulator,
-/// DeliveryOptions::link / link_config for the delivery engines; see
-/// DESIGN.md, "Time and scheduling model".
+/// delay/jitter/rate knobs) is not configured here: the delivery engine
+/// takes it as DeliveryOptions::link / link_config; see DESIGN.md, "Time
+/// and scheduling model".
 namespace icd::overlay {
 
 struct SimConfig {
@@ -47,25 +46,13 @@ struct SimConfig {
 
   std::uint64_t seed = 0x1cdc0de5eedULL;
 
-  /// Worker shards the tick engines partition work across (peers in the
-  /// adaptive-overlay simulator, senders in the multi-sender transfer
-  /// harnesses; core::ShardedDelivery takes the same knob through
-  /// ShardOptions). 1 = the single-threaded legacy path, bit-for-bit
-  /// reproducing historical results. With more shards, runs are still
-  /// deterministic for a fixed shard count (shard-local RNGs, no shared
-  /// draws), but trajectories differ from the shards=1 sequence because
-  /// the shared-RNG draw order is gone.
+  /// Worker shards the multi-sender transfer harness produces sender
+  /// symbols on. 1 = every sender on the caller's thread, one shared RNG.
+  /// With more shards a run is still deterministic for a fixed shard
+  /// count (shard-local RNGs, no shared draws), but its trajectory
+  /// differs from the shards = 1 one because the shared-RNG draw order is
+  /// gone.
   std::size_t shards = 1;
-
-  /// Per-tick control-frame batching budget in bytes. Frame-carrying
-  /// engines pass it to wire::Transport::set_batch_budget (see
-  /// core::ShardOptions::batch_budget): handshake/sketch control streams
-  /// coalesce into trains of up to this size, one pooled buffer and one
-  /// datagram per train. The count-only adaptive-overlay simulator models
-  /// the same thing in its packet currency: the setup blobs a peer ships
-  /// to one neighbor pay packetization once for the concatenated stream
-  /// instead of per blob. 0 = off (historical accounting and framing).
-  std::size_t batch_budget = 0;
 
   /// Completion target in distinct symbols.
   std::size_t target() const {

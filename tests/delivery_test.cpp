@@ -304,6 +304,66 @@ TEST(DeliveryService, SuspectOnlyNovelSenderIsReadmittedAfterTtlExpiry) {
             result.failed_peers.front().tick + options.suspect_ttl_ticks);
 }
 
+// --- Adaptive overlay (Section 2.1) ------------------------------------------
+
+/// Eight peers (two origin-fed) with two sessions each; runs to completion
+/// and returns the mean completion tick, byte-checking every peer.
+double mean_overlay_completion(const DeliveryOptions& options) {
+  const auto content = random_content(64 * 200, options.session_seed);
+  ShardedDelivery service(content, options);
+  constexpr std::size_t kPeers = 8;
+  for (std::size_t p = 0; p < kPeers; ++p) service.add_peer("p", p < 2);
+  EXPECT_TRUE(service.run(30000));
+  double total = 0.0;
+  for (std::size_t id = 0; id < kPeers; ++id) {
+    EXPECT_EQ(service.peer_content(id), content);
+    total += static_cast<double>(service.peer_completion_tick(id));
+  }
+  return total / kPeers;
+}
+
+DeliveryOptions overlay_options(std::uint64_t seed) {
+  DeliveryOptions options = small_options();
+  options.session_seed = seed;
+  options.max_peer_sessions = 2;
+  return options;
+}
+
+TEST(AdaptiveOverlay, SketchAdmissionBeatsRandomSelection) {
+  // Random selection through the admission knobs: sample exactly as many
+  // candidates as there are session slots and admit them all.
+  double informed_total = 0, random_total = 0;
+  for (std::uint64_t seed = 1000; seed < 1003; ++seed) {
+    informed_total += mean_overlay_completion(overlay_options(seed));
+    auto random = overlay_options(seed);
+    random.admission_sample = random.max_peer_sessions;
+    random.admission = AdmissionPolicy{1.0, 0.0};
+    random_total += mean_overlay_completion(random);
+  }
+  EXPECT_LT(informed_total, random_total);
+}
+
+TEST(AdaptiveOverlay, ToleratesLoss) {
+  // Loss slows delivery but must not break it; a single seed's completion
+  // ticks are noisy at this scale, so sum over a few.
+  double clean_total = 0, lossy_total = 0;
+  for (std::uint64_t seed = 424242; seed < 424245; ++seed) {
+    auto options = overlay_options(seed);
+    clean_total += mean_overlay_completion(options);
+    options.link.loss_rate = 0.3;
+    lossy_total += mean_overlay_completion(options);
+  }
+  EXPECT_GT(lossy_total, clean_total);
+}
+
+TEST(AdaptiveOverlay, HeavyReorderingStillCompletes) {
+  // Every frame may swap with its successor; handshakes and symbols must
+  // still get through (the helper checks completion and content).
+  auto options = overlay_options(424242);
+  options.link.reorder_rate = 1.0;
+  EXPECT_GT(mean_overlay_completion(options), 0.0);
+}
+
 TEST(DeliveryService, TicksAreCountedAndContentIsStable) {
   const auto content = random_content(64 * 50, 5);
   ShardedDelivery service(content, small_options());

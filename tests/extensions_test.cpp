@@ -1,12 +1,10 @@
 // Tests for the library's extensions beyond the paper's minimum:
-// inactivation decoding, bottom-k sketches, and the adaptive overlay
-// simulator.
+// inactivation decoding and bottom-k sketches.
 #include <gtest/gtest.h>
 
 #include <vector>
 
 #include "codec/inactivation.hpp"
-#include "overlay/simulator.hpp"
 #include "sketch/bottomk.hpp"
 #include "sketch/minwise.hpp"
 #include "util/random.hpp"
@@ -176,113 +174,6 @@ TEST(BottomK, IncompatibleSketchesThrow) {
   EXPECT_THROW(sketch::BottomKSketch::resemblance(a, b),
                std::invalid_argument);
   EXPECT_THROW(sketch::BottomKSketch(1 << 20, 0), std::invalid_argument);
-}
-
-// --- Adaptive overlay simulator ---------------------------------------------
-
-overlay::AdaptiveOverlayConfig small_overlay() {
-  overlay::AdaptiveOverlayConfig config;
-  config.base.n = 200;
-  config.base.seed = 424242;
-  config.peer_count = 8;
-  config.origin_fanout = 2;
-  config.connections_per_peer = 2;
-  config.reconfigure_interval = 20;
-  config.max_rounds = 30000;
-  return config;
-}
-
-TEST(AdaptiveOverlay, AllPeersCompleteEventually) {
-  const auto result = overlay::run_adaptive_overlay(small_overlay());
-  EXPECT_EQ(result.completed_peers, 8u);
-  EXPECT_GT(result.last_completion, 0u);
-  EXPECT_GT(result.control_packets, 0u);
-}
-
-TEST(AdaptiveOverlay, ToleratesLoss) {
-  // Loss slows delivery but must not break it. A single seed's completion
-  // rounds are noisy at this scale, so average over a few.
-  double clean_total = 0, lossy_total = 0;
-  for (std::uint64_t s = 0; s < 3; ++s) {
-    auto config = small_overlay();
-    config.base.seed = 424242 + s;
-    const auto clean = overlay::run_adaptive_overlay(config);
-    EXPECT_EQ(clean.completed_peers, 8u);
-    clean_total += clean.mean_completion;
-    config.loss_rate = 0.3;
-    const auto lossy = overlay::run_adaptive_overlay(config);
-    EXPECT_EQ(lossy.completed_peers, 8u);
-    lossy_total += lossy.mean_completion;
-  }
-  EXPECT_GT(lossy_total, clean_total);
-}
-
-TEST(AdaptiveOverlay, SurvivesChurn) {
-  auto config = small_overlay();
-  config.churn_rate = 0.01;
-  config.max_rounds = 60000;
-  const auto result = overlay::run_adaptive_overlay(config);
-  // Someone crashed and the system still finished.
-  EXPECT_EQ(result.completed_peers, 8u);
-}
-
-TEST(AdaptiveOverlay, StaggeredJoinsComplete) {
-  auto config = small_overlay();
-  config.join_stagger = 30;
-  const auto result = overlay::run_adaptive_overlay(config);
-  EXPECT_EQ(result.completed_peers, 8u);
-  // Later joiners complete later.
-  EXPECT_LE(result.completion_round[0], result.completion_round[7]);
-}
-
-TEST(AdaptiveOverlay, SketchAdmissionBeatsRandomSelection) {
-  auto informed = small_overlay();
-  informed.sketch_admission = true;
-  auto random = small_overlay();
-  random.sketch_admission = false;
-  double informed_total = 0, random_total = 0;
-  for (std::uint64_t s = 0; s < 3; ++s) {
-    informed.base.seed = 1000 + s;
-    random.base.seed = 1000 + s;
-    informed_total += static_cast<double>(
-        overlay::run_adaptive_overlay(informed).mean_completion);
-    random_total += static_cast<double>(
-        overlay::run_adaptive_overlay(random).mean_completion);
-  }
-  EXPECT_LT(informed_total, random_total * 1.05);  // at least comparable
-}
-
-TEST(AdaptiveOverlay, DeterministicForSeed) {
-  const auto a = overlay::run_adaptive_overlay(small_overlay());
-  const auto b = overlay::run_adaptive_overlay(small_overlay());
-  EXPECT_EQ(a.completion_round, b.completion_round);
-  EXPECT_EQ(a.transmissions, b.transmissions);
-}
-
-TEST(AdaptiveOverlay, HeavyReorderingStillCompletes) {
-  auto config = small_overlay();
-  config.link.reorder_rate = 1.0;
-  const auto result = overlay::run_adaptive_overlay(config);
-  EXPECT_EQ(result.completed_peers, 8u);
-}
-
-TEST(AdaptiveOverlay, TinyMtuRejectionsAreAccounted) {
-  auto config = small_overlay();
-  config.link.mtu = 4;  // below even an empty-payload symbol frame
-  config.max_rounds = 50;
-  const auto result = overlay::run_adaptive_overlay(config);
-  // Nothing fits the wire: rejected frames must be visible, not counted
-  // as traffic.
-  EXPECT_EQ(result.completed_peers, 0u);
-  EXPECT_EQ(result.transmissions, 0u);
-  EXPECT_EQ(result.data_bytes, 0u);
-  EXPECT_GT(result.oversized_frames, 0u);
-}
-
-TEST(AdaptiveOverlay, RejectsZeroPeers) {
-  auto config = small_overlay();
-  config.peer_count = 0;
-  EXPECT_THROW(overlay::run_adaptive_overlay(config), std::invalid_argument);
 }
 
 }  // namespace
