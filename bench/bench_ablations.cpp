@@ -13,7 +13,7 @@
 #include "codec/degree.hpp"
 #include "codec/encoder.hpp"
 #include "codec/peeling.hpp"
-#include "codec/solver_reference.hpp"
+#include "solver_reference.hpp"
 #include "overlay/scenario.hpp"
 #include "overlay/sim_config.hpp"
 #include "overlay/transfer.hpp"

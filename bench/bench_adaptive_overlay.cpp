@@ -96,13 +96,11 @@ Outcome run_overlay(const core::DeliveryOptions& options) {
   for (std::size_t p = 0; p < kPeers; ++p) {
     service.add_peer("peer", p < kOriginFed);
   }
-  const auto all_live_complete = [&service] {
-    for (std::size_t id = 0; id < service.peer_count(); ++id) {
-      if (!service.peer_down(id) && !service.peer_complete(id)) return false;
-    }
-    return true;
-  };
-  while (service.ticks() < kHorizon && !all_live_complete()) service.tick();
+  // Not run(): it also waits for scheduled joins, and churn here stays
+  // scheduled after the survivors finish.
+  while (service.ticks() < kHorizon && !service.all_live_complete()) {
+    service.tick();
+  }
 
   Outcome outcome;
   std::size_t last = 0;

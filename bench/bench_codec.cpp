@@ -26,7 +26,7 @@
 #include "codec/inactivation.hpp"
 #include "codec/peeling.hpp"
 #include "codec/recoder.hpp"
-#include "codec/solver_reference.hpp"
+#include "solver_reference.hpp"
 #include "sketch/minwise.hpp"
 #include "util/permutation.hpp"
 #include "util/random.hpp"

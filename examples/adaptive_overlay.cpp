@@ -99,16 +99,12 @@ int main() {
     }
     core::ShardedDelivery service(content, options);
     service.add_peer("p0", /*subscribe_origin=*/true);
-    const auto all_live_complete = [&service] {
-      if (service.ticks() < (kPeers - 1) * kJoinStagger) return false;
-      for (std::size_t id = 0; id < service.peer_count(); ++id) {
-        if (!service.peer_down(id) && !service.peer_complete(id)) {
-          return false;
-        }
-      }
-      return true;
-    };
-    while (service.ticks() < kHorizon && !all_live_complete()) {
+    // Ticks until every live peer (all staggered joiners included) holds
+    // the content. Not run(): it also waits for scheduled joins, and the
+    // churn plan schedules replacements up to the horizon.
+    while (service.ticks() < kHorizon &&
+           (service.ticks() < (kPeers - 1) * kJoinStagger ||
+            !service.all_live_complete())) {
       service.tick();
     }
 

@@ -39,7 +39,7 @@
 ///
 /// Observable behavior (recovery values, recovery_log order,
 /// redundant/buffered counts) is bit-for-bit identical to the list-based
-/// `ReferencePeelingDecoder` (codec/solver_reference.hpp); the randomized
+/// `ReferencePeelingDecoder` (tests/solver_reference.hpp); the randomized
 /// property test in tests/solver_property_test.cpp pins this.
 namespace icd::codec {
 namespace detail {

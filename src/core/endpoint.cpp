@@ -228,9 +228,7 @@ void ReceiverEndpoint::maybe_send_flow_update() {
 SenderEndpoint::SenderEndpoint(Peer& peer, SessionOptions options,
                                wire::Transport& transport)
     : peer_(peer), options_(options), transport_(transport),
-      rng_(options.seed),
-      recode_distribution_(make_recode_distribution(
-          peer.symbol_count(), options.recode_degree_limit)) {}
+      rng_(options.seed) {}
 
 bool SenderEndpoint::bundle_complete() const {
   if (!receiver_hello_ || !receiver_sketch_ || !request_seen_) return false;
@@ -319,6 +317,9 @@ void SenderEndpoint::finish_handshake() {
       domain_.resize(symbols_desired_);
       std::sort(domain_.begin(), domain_.end());
     }
+    // Every domain id is held (a subset of symbol_ids()), and the held set
+    // only grows: resolve the payloads once for the whole session.
+    peer_.resolve_payloads(domain_, domain_payloads_);
     recode_distribution_ = make_recode_distribution(
         std::max<std::size_t>(domain_.size(), 2), options_.recode_degree_limit);
   } else {
@@ -358,25 +359,25 @@ bool SenderEndpoint::send_symbol() {
   // Every branch serializes straight from borrowed storage (the peer's
   // decoder for encoded symbols, recode_scratch_ for recoded ones) into a
   // pooled transport buffer: the steady-state send allocates nothing.
+  //
+  // The filtered strategies fall back to the whole working set when the
+  // summary left no domain; either way ids and payloads are parallel and
+  // already resolved, so no branch probes a hash per symbol.
   bool sent = false;
+  const bool whole_set = domain_.empty();
+  const auto& ids = whole_set ? peer_.symbol_ids() : domain_;
+  const auto& payloads = whole_set ? peer_.held_payloads() : domain_payloads_;
   switch (options_.strategy) {
-    case Strategy::kRandom: {
-      const auto& ids = peer_.symbol_ids();
-      const std::uint64_t id = ids[rng_.next_below(ids.size())];
-      sent = transport_.send(
-          codec::EncodedSymbolView{id, peer_.symbol_payload(id)});
-      break;
-    }
+    case Strategy::kRandom:
     case Strategy::kRandomBloom: {
-      const auto& ids = domain_.empty() ? peer_.symbol_ids() : domain_;
-      const std::uint64_t id = ids[rng_.next_below(ids.size())];
+      const std::size_t pick = rng_.next_below(ids.size());
       sent = transport_.send(
-          codec::EncodedSymbolView{id, peer_.symbol_payload(id)});
+          codec::EncodedSymbolView{ids[pick], *payloads[pick]});
       break;
     }
     case Strategy::kRecode:
     case Strategy::kRecodeMinwise: {
-      std::size_t degree = recode_distribution_.sample(rng_);
+      std::size_t degree = recode_distribution_->sample(rng_);
       if (options_.strategy == Strategy::kRecodeMinwise) {
         degree = codec::minwise_recode_degree(degree, estimated_containment_,
                                               options_.recode_degree_limit);
@@ -386,12 +387,8 @@ bool SenderEndpoint::send_symbol() {
       break;
     }
     case Strategy::kRecodeBloom: {
-      const std::size_t degree = recode_distribution_.sample(rng_);
-      if (domain_.empty()) {
-        peer_.recode_into(recode_scratch_, degree, rng_);
-      } else {
-        peer_.recode_from_into(recode_scratch_, domain_, degree, rng_);
-      }
+      const std::size_t degree = recode_distribution_->sample(rng_);
+      peer_.recode_resolved_into(recode_scratch_, ids, payloads, degree, rng_);
       sent = transport_.send(codec::RecodedSymbolView(recode_scratch_));
       break;
     }

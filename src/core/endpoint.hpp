@@ -330,13 +330,15 @@ class SenderEndpoint {
   const wire::Transport& transport() const { return transport_; }
 
   /// Heap bytes this endpoint pins beyond its Peer: buffered handshake
-  /// summaries (released once digested), the filtered domain, the recode
-  /// scratch, and the cached reply sketch (scale audit).
+  /// summaries (released once digested), the filtered domain and its
+  /// payload references, the recode scratch, and the cached reply sketch
+  /// (scale audit).
   std::size_t memory_bytes() const {
     return (receiver_sketch_ ? receiver_sketch_->memory_bytes() : 0) +
            (receiver_bloom_ ? receiver_bloom_->memory_bytes() : 0) +
            (receiver_art_ ? receiver_art_->memory_bytes() : 0) +
            domain_.capacity() * sizeof(std::uint64_t) +
+           domain_payloads_.capacity() * sizeof(Peer::PayloadRef) +
            recode_scratch_.constituents.capacity() * sizeof(std::uint64_t) +
            recode_scratch_.payload.capacity() +
            cached_message_bytes(sketch_scratch_);
@@ -372,7 +374,12 @@ class SenderEndpoint {
   std::size_t symbols_desired_ = 0;
   double estimated_containment_ = 0.0;
   std::vector<std::uint64_t> domain_;
-  codec::DegreeDistribution recode_distribution_;
+  /// domain_'s payloads, resolved once at the handshake: domain_ is a
+  /// subset of the held set, which only grows, so send_symbol reads them
+  /// with no per-symbol lookup.
+  std::vector<Peer::PayloadRef> domain_payloads_;
+  /// Built by finish_handshake, from the digested domain's size.
+  std::optional<codec::DegreeDistribution> recode_distribution_;
   std::size_t symbols_sent_ = 0;
   /// Reused by send_symbol so a warm transfer builds every recoded symbol
   /// in place (no per-symbol vectors); serialized from a view.

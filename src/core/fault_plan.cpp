@@ -24,6 +24,14 @@ bool FaultPlan::crashed_at(std::size_t peer, std::uint64_t tick) const {
   return true;
 }
 
+bool FaultPlan::crashed_for_good(std::size_t peer, std::uint64_t tick) const {
+  if (!crashed_at(peer, tick)) return false;
+  return std::none_of(restarts.begin(), restarts.end(),
+                      [&](const Restart& restart) {
+                        return restart.peer == peer && restart.at > tick;
+                      });
+}
+
 bool FaultPlan::stalled_at(std::size_t peer, std::uint64_t tick) const {
   for (const Stall& stall : stalls) {
     if (stall.peer == peer && stall.from <= tick && tick < stall.until) {

@@ -78,6 +78,9 @@ struct FaultPlan {
 
   /// Crashed at or before `tick` with no restart in between.
   bool crashed_at(std::size_t peer, std::uint64_t tick) const;
+  /// Crashed at `tick` with no restart scheduled after it: the peer never
+  /// comes back.
+  bool crashed_for_good(std::size_t peer, std::uint64_t tick) const;
   /// Inside a stall window.
   bool stalled_at(std::size_t peer, std::uint64_t tick) const;
   /// Down for servicing purposes: crashed or stalled.
@@ -142,6 +145,9 @@ class FaultTracker {
   /// Crashed or stalled at `tick` (false without a plan).
   bool down(std::size_t peer, std::uint64_t tick) const {
     return plan_ && plan_->down_at(peer, tick);
+  }
+  bool crashed_for_good(std::size_t peer, std::uint64_t tick) const {
+    return plan_ && plan_->crashed_for_good(peer, tick);
   }
   bool blackout(std::size_t sender, std::size_t receiver,
                 std::uint64_t tick) const {

@@ -24,13 +24,14 @@ Peer::Peer(std::string name, codec::CodeParameters params,
 std::size_t Peer::absorb_acquisitions() {
   const auto& log = recode_decoder_.acquisition_log();
   std::size_t fresh = 0;
-  while (log_offset_ < log.size()) {
-    const std::uint64_t id = log[log_offset_++];
-    symbol_ids_.push_back(id);
+  while (held_payloads_.size() < log.size()) {
+    const std::uint64_t id = log[held_payloads_.size()];
+    const auto& payload = recode_decoder_.payload(id);
+    held_payloads_.push_back(&payload);
     sketch_.update(id % kSymbolIdUniverse);
     // Span feed: the block decoder copies the payload into its own solver;
     // no intermediate EncodedSymbol is materialized.
-    block_decoder_.add_symbol(id, recode_decoder_.payload(id));
+    block_decoder_.add_symbol(id, payload);
     ++fresh;
   }
   return fresh;
@@ -62,13 +63,13 @@ std::vector<std::uint8_t> Peer::content(std::size_t content_size) const {
 
 filter::BloomFilter Peer::bloom_summary(double bits_per_element) const {
   auto filter = filter::BloomFilter::with_bits_per_element(
-      std::max<std::size_t>(1, symbol_ids_.size()), bits_per_element);
-  filter.insert_all(symbol_ids_);
+      std::max<std::size_t>(1, symbol_count()), bits_per_element);
+  filter.insert_all(symbol_ids());
   return filter;
 }
 
 art::ReconciliationTree Peer::reconciliation_tree() const {
-  return art::ReconciliationTree(symbol_ids_);
+  return art::ReconciliationTree(symbol_ids());
 }
 
 art::ArtSummary Peer::art_summary(double leaf_bits_per_element,
@@ -109,27 +110,42 @@ codec::RecodedSymbol Peer::recode_from(
 
 void Peer::recode_into(codec::RecodedSymbol& out, std::size_t degree,
                        util::Xoshiro256& rng) const {
-  // The whole working set is the domain and every id in it is held by
-  // construction: sample symbol_ids_ directly, skipping the held filter.
-  blend_recode(out, symbol_ids_, degree, rng);
+  blend_recode(out, symbol_ids(), &held_payloads_, degree, rng);
 }
 
 void Peer::recode_from_into(codec::RecodedSymbol& out,
                             const std::vector<std::uint64_t>& domain_ids,
                             std::size_t degree, util::Xoshiro256& rng) const {
-  recode_held_scratch_.clear();
-  recode_held_scratch_.reserve(domain_ids.size());
-  for (const std::uint64_t id : domain_ids) {
-    if (recode_decoder_.has_symbol(id)) recode_held_scratch_.push_back(id);
+  blend_recode(out, domain_ids, nullptr, degree, rng);
+}
+
+void Peer::recode_resolved_into(codec::RecodedSymbol& out,
+                                const std::vector<std::uint64_t>& domain_ids,
+                                const std::vector<PayloadRef>& payloads,
+                                std::size_t degree,
+                                util::Xoshiro256& rng) const {
+  if (payloads.size() != domain_ids.size()) {
+    throw std::invalid_argument(
+        "Peer::recode_resolved_into: payloads do not match the domain");
   }
-  blend_recode(out, recode_held_scratch_, degree, rng);
+  blend_recode(out, domain_ids, &payloads, degree, rng);
+}
+
+void Peer::resolve_payloads(const std::vector<std::uint64_t>& ids,
+                            std::vector<PayloadRef>& out) const {
+  out.clear();
+  out.reserve(ids.size());
+  for (const std::uint64_t id : ids) {
+    out.push_back(&recode_decoder_.payload(id));
+  }
 }
 
 void Peer::blend_recode(codec::RecodedSymbol& out,
                         const std::vector<std::uint64_t>& held,
+                        const std::vector<PayloadRef>* payloads,
                         std::size_t degree, util::Xoshiro256& rng) const {
   if (held.empty()) {
-    throw std::invalid_argument("Peer::recode_from: no held ids in domain");
+    throw std::invalid_argument("Peer::recode_from: empty recoding domain");
   }
   const std::size_t d = std::min(std::max<std::size_t>(degree, 1), held.size());
   // Reserve to the degree cap (not just d): capacities then reach steady
@@ -145,9 +161,11 @@ void Peer::blend_recode(codec::RecodedSymbol& out,
   out.constituents.reserve(hint);
   out.payload.clear();
   for (const std::uint64_t pick : recode_pick_scratch_) {
-    const std::uint64_t id = held[static_cast<std::size_t>(pick)];
+    const auto index = static_cast<std::size_t>(pick);
+    const std::uint64_t id = held[index];
     out.constituents.push_back(id);
-    codec::xor_into(out.payload, recode_decoder_.payload(id));
+    codec::xor_into(out.payload, payloads ? *(*payloads)[index]
+                                          : recode_decoder_.payload(id));
   }
   std::sort(out.constituents.begin(), out.constituents.end());
 }

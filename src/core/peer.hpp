@@ -39,6 +39,14 @@ class Peer {
        codec::DegreeDistribution distribution,
        std::size_t sketch_permutations = sketch::MinwiseSketch::kDefaultPermutations);
 
+  // held_payloads() points into this peer's own known store, so a copy
+  // would alias the original's payloads. A move keeps the store's nodes,
+  // and with them every reference, in place.
+  Peer(const Peer&) = delete;
+  Peer& operator=(const Peer&) = delete;
+  Peer(Peer&&) = default;
+  Peer& operator=(Peer&&) = default;
+
   const std::string& name() const { return name_; }
   const codec::CodeParameters& parameters() const { return params_; }
 
@@ -61,9 +69,22 @@ class Peer {
 
   /// --- State -------------------------------------------------------------
 
+  /// A held payload, resolved once: it points into the recode decoder's
+  /// node-based known store, whose entries are never erased or moved, so
+  /// it stays valid for the peer's lifetime.
+  using PayloadRef = const std::vector<std::uint8_t>*;
+
   /// Distinct encoded symbols held (received or recovered).
-  std::size_t symbol_count() const { return symbol_ids_.size(); }
-  const std::vector<std::uint64_t>& symbol_ids() const { return symbol_ids_; }
+  std::size_t symbol_count() const { return symbol_ids().size(); }
+  /// Held ids in acquisition order (the recode decoder's log).
+  const std::vector<std::uint64_t>& symbol_ids() const {
+    return recode_decoder_.acquisition_log();
+  }
+  /// Payload references parallel to symbol_ids(): held_payloads()[i] is
+  /// the payload of symbol_ids()[i].
+  const std::vector<PayloadRef>& held_payloads() const {
+    return held_payloads_;
+  }
   bool has_symbol(std::uint64_t id) const {
     return recode_decoder_.has_symbol(id);
   }
@@ -114,33 +135,48 @@ class Peer {
   codec::RecodedSymbol recode(std::size_t degree, util::Xoshiro256& rng) const;
 
   /// Recoded symbol over a restricted domain of held ids (e.g. the ids that
-  /// missed the receiver's Bloom filter). Unknown ids are ignored; throws
-  /// if none of `domain_ids` are held.
+  /// missed the receiver's Bloom filter). Every id in `domain_ids` must be
+  /// held: the domain is blended as given, and a sampled unheld id throws
+  /// from symbol_payload(). Throws on an empty domain.
   codec::RecodedSymbol recode_from(const std::vector<std::uint64_t>& domain_ids,
                                    std::size_t degree,
                                    util::Xoshiro256& rng) const;
 
   /// In-place variants for the endpoint fast path: `out`'s vectors are
-  /// reused (cleared, capacity kept), and the whole-working-set overload
-  /// samples symbol_ids() directly, so a warm sender allocates nothing per
+  /// reused (cleared, capacity kept), so a warm sender allocates nothing per
   /// recoded symbol. Same symbol (same rng consumption) as the returning
-  /// overloads.
+  /// overloads. recode_from_into looks up each sampled constituent's
+  /// payload; the other two read pre-resolved references.
   void recode_into(codec::RecodedSymbol& out, std::size_t degree,
                    util::Xoshiro256& rng) const;
   void recode_from_into(codec::RecodedSymbol& out,
                         const std::vector<std::uint64_t>& domain_ids,
                         std::size_t degree, util::Xoshiro256& rng) const;
+  /// recode_from_into over a domain whose payloads were resolved once
+  /// (resolve_payloads): `payloads[i]` is the payload of `domain_ids[i]`.
+  /// Same symbol as recode_from_into over the same ids and rng state.
+  void recode_resolved_into(codec::RecodedSymbol& out,
+                            const std::vector<std::uint64_t>& domain_ids,
+                            const std::vector<PayloadRef>& payloads,
+                            std::size_t degree, util::Xoshiro256& rng) const;
+
+  /// Resolves the payload of every id in `ids` (all must be held; throws
+  /// otherwise) into `out`, reusing its capacity. References stay valid
+  /// for the peer's lifetime, and the held set only grows, so a session
+  /// resolves its domain once.
+  void resolve_payloads(const std::vector<std::uint64_t>& ids,
+                        std::vector<PayloadRef>& out) const;
 
   /// --- Scale audit --------------------------------------------------------
 
-  /// Heap bytes this peer pins: both decoders, the sketch, the id set,
-  /// and any cached decoded blocks. The per-peer half of MemoryAudit.
+  /// Heap bytes this peer pins: both decoders (the recode decoder's log
+  /// is the id set), the sketch, the payload references, and any cached
+  /// decoded blocks. The per-peer half of MemoryAudit.
   std::size_t memory_bytes() const {
     std::size_t bytes = recode_decoder_.memory_bytes() +
                         block_decoder_.memory_bytes() +
                         sketch_.memory_bytes() +
-                        symbol_ids_.capacity() * sizeof(std::uint64_t) +
-                        recode_held_scratch_.capacity() * sizeof(std::uint64_t) +
+                        held_payloads_.capacity() * sizeof(PayloadRef) +
                         recode_pick_scratch_.capacity() * sizeof(std::uint64_t);
     if (decoded_blocks_) {
       for (const auto& block : *decoded_blocks_) bytes += block.capacity();
@@ -175,10 +211,12 @@ class Peer {
   std::size_t absorb_acquisitions();
 
   /// Shared recode core: XOR-blend `degree` distinct symbols sampled from
-  /// `held` (all of which must be held) into `out`.
+  /// `held` (all of which must be held) into `out`. `payloads` is parallel
+  /// to `held`, or null to look each sampled payload up.
   void blend_recode(codec::RecodedSymbol& out,
-                    const std::vector<std::uint64_t>& held, std::size_t degree,
-                    util::Xoshiro256& rng) const;
+                    const std::vector<std::uint64_t>& held,
+                    const std::vector<PayloadRef>* payloads,
+                    std::size_t degree, util::Xoshiro256& rng) const;
 
   std::string name_;
   codec::CodeParameters params_;
@@ -186,13 +224,13 @@ class Peer {
   codec::RecodeDecoder recode_decoder_;
   codec::Decoder block_decoder_;
   sketch::MinwiseSketch sketch_;
-  std::vector<std::uint64_t> symbol_ids_;
-  std::size_t log_offset_ = 0;
+  /// One reference per held symbol, parallel to symbol_ids(); its size is
+  /// also the offset of the next unabsorbed acquisition.
+  std::vector<PayloadRef> held_payloads_;
   std::uint64_t next_fresh_id_;
   std::optional<std::vector<std::vector<std::uint8_t>>> decoded_blocks_;
-  // recode_into scratch: held-id filter and sampled indices. Mutable so
-  // the logically-const recode paths can reuse capacity across calls.
-  mutable std::vector<std::uint64_t> recode_held_scratch_;
+  // Sampled-index scratch of the recode paths. Mutable so the
+  // logically-const recode paths can reuse capacity across calls.
   mutable std::vector<std::uint64_t> recode_pick_scratch_;
 };
 

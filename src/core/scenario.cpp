@@ -673,11 +673,7 @@ void drive_scenario_lockstep(ShardedDelivery& service,
   for (std::uint64_t t = 0; t < compiled.max_ticks; ++t) {
     service.tick();
     if (service.peer_count() < expected) continue;
-    bool all = true;
-    for (std::size_t p = 0; p < service.peer_count(); ++p) {
-      all = all && service.peer_complete(p);
-    }
-    if (all) return;
+    if (service.all_live_complete()) return;
   }
 }
 

@@ -581,12 +581,9 @@ bool ShardedDelivery::run(std::size_t max_ticks) {
 bool ShardedDelivery::run_until(std::uint64_t deadline) {
   while (ticks_ < deadline) {
     tick();
-    const bool all = std::all_of(
-        peers_.begin(), peers_.end(),
-        [](const PeerEntry& e) { return e.peer->has_content(); });
     // "All done" is only final once no flash crowd is still scheduled to
     // arrive — a pending join re-opens the swarm.
-    if (all && !faults_.pending_joins()) return true;
+    if (all_live_complete() && !faults_.pending_joins()) return true;
     if (!options_.jump_empty_ticks) continue;
     // All-untimed swarms can never open a span (untimed downloads are
     // due every tick), so skip the planning rebuild outright and keep
@@ -602,9 +599,17 @@ bool ShardedDelivery::run_until(std::uint64_t deadline) {
       ticks_ = target;
     }
   }
-  return std::all_of(peers_.begin(), peers_.end(), [](const PeerEntry& e) {
-    return e.peer->has_content();
-  });
+  return all_live_complete();
+}
+
+bool ShardedDelivery::all_live_complete() const {
+  for (std::size_t id = 0; id < peers_.size(); ++id) {
+    if (!peers_[id].peer->has_content() &&
+        !faults_.crashed_for_good(id, ticks_)) {
+      return false;
+    }
+  }
+  return true;
 }
 
 std::uint64_t ShardedDelivery::events_processed() const {

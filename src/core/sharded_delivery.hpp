@@ -132,16 +132,20 @@ class ShardedDelivery {
   void tick();
   /// Drives the service for up to `max_ticks` virtual ticks, jumping
   /// empty tick spans when DeliveryOptions::jump_empty_ticks is set.
-  /// Returns true if everyone finished.
+  /// Returns true if everyone finished (see all_live_complete).
   bool run(std::size_t max_ticks);
-  /// Event-loop driver: advances until every peer holds the content (and
-  /// no flash-crowd join is still pending) or the virtual clock reaches
-  /// `deadline`, executing only ticks at which an event (refresh, origin
-  /// feed, frame arrival, send credit, handshake retry, fault boundary)
-  /// can occur. Sharded ticks barrier only at event times — the jump
-  /// happens on the coordinator between pool runs, where it owns all
+  /// Event-loop driver: advances until every live peer holds the content
+  /// (and no flash-crowd join is still pending) or the virtual clock
+  /// reaches `deadline`, executing only ticks at which an event (refresh,
+  /// origin feed, frame arrival, send credit, handshake retry, fault
+  /// boundary) can occur. Sharded ticks barrier only at event times — the
+  /// jump happens on the coordinator between pool runs, where it owns all
   /// state. Returns true when everyone finished.
   bool run_until(std::uint64_t deadline);
+  /// Every peer holds the content, except peers that crashed for good
+  /// (down now, no restart scheduled): those can never finish. Stalled
+  /// peers and peers with a pending restart still count.
+  bool all_live_complete() const;
 
   std::size_t peer_count() const { return peers_.size(); }
   const Peer& peer(std::size_t id) const { return *peers_.at(id).peer; }

@@ -20,6 +20,8 @@ LinearPermutation::LinearPermutation(std::uint64_t a, std::uint64_t b,
         "LinearPermutation: require 1 <= a < p and 0 <= b < p");
   }
   a_inverse_ = inverse_mod(a_, modulus_);
+  shoup_ = static_cast<std::uint64_t>(
+      (static_cast<unsigned __int128>(a_) << 64) / modulus_);
 }
 
 LinearPermutation LinearPermutation::random(std::uint64_t universe_size,

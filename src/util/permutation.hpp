@@ -25,8 +25,21 @@ class LinearPermutation {
   static LinearPermutation random(std::uint64_t universe_size,
                                   Xoshiro256& rng);
 
+  /// pi(x), division-free (Shoup's method with the precomputed
+  /// floor(a * 2^64 / p)): r = a*x - q*p lands in [0, 2p) for every 64-bit
+  /// x, so one conditional subtract reduces it. The historical formula
+  /// added b in uint64 arithmetic, which wraps once p > 2^63 (the sketch
+  /// universe's modulus); the wrapped sum is then < p, so the same single
+  /// conditional subtract reproduces it bit for bit.
   std::uint64_t operator()(std::uint64_t x) const {
-    return (mul_a(x % modulus_) + b_) % modulus_;
+    using u128 = unsigned __int128;
+    const auto q =
+        static_cast<std::uint64_t>((static_cast<u128>(shoup_) * x) >> 64);
+    u128 r = static_cast<u128>(a_) * x - static_cast<u128>(q) * modulus_;
+    if (r >= modulus_) r -= modulus_;
+    std::uint64_t y = static_cast<std::uint64_t>(r) + b_;  // may wrap
+    if (y >= modulus_) y -= modulus_;
+    return y;
   }
 
   /// Inverse permutation: pi^{-1}(y) = (y - b) * a^{-1} mod p.
@@ -37,15 +50,12 @@ class LinearPermutation {
   std::uint64_t modulus() const { return modulus_; }
 
  private:
-  std::uint64_t mul_a(std::uint64_t x) const {
-    return static_cast<std::uint64_t>(
-        static_cast<unsigned __int128>(a_) * x % modulus_);
-  }
-
   std::uint64_t a_;
   std::uint64_t b_;
   std::uint64_t modulus_;
   std::uint64_t a_inverse_;
+  /// floor(a * 2^64 / p), the Shoup constant of operator().
+  std::uint64_t shoup_;
 };
 
 /// A fixed, seed-derived family of linear permutations. Peers that agree on

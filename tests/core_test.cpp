@@ -11,6 +11,7 @@
 #include "core/origin.hpp"
 #include "core/peer.hpp"
 #include "core/session.hpp"
+#include "reconcile/set_difference.hpp"
 #include "util/random.hpp"
 
 namespace icd::core {
@@ -114,6 +115,60 @@ TEST(Peer, RecodedSymbolsCascadeThroughBothDecoders) {
   EXPECT_GT(gained, 0u);
   EXPECT_GE(receiver.blocks_recovered(), before_blocks);
   EXPECT_EQ(receiver.symbol_count(), 150 + gained);
+}
+
+TEST(Peer, ResolvedRecodeMatchesRecodeFromOverBloomDomain) {
+  Fixture f;
+  Peer sender = f.make_peer("sender");
+  Peer receiver = f.make_peer("receiver");
+  // Shared prefix, then symbols only the sender holds: the Bloom-filtered
+  // domain is (mostly) the sender's private tail.
+  for (int i = 0; i < 80; ++i) {
+    const auto symbol = f.origin.next();
+    sender.receive_encoded(symbol);
+    receiver.receive_encoded(symbol);
+  }
+  for (int i = 0; i < 120; ++i) sender.receive_encoded(f.origin.next());
+  const auto domain = reconcile::bloom_set_difference(
+      sender.symbol_ids(), receiver.bloom_summary());
+  ASSERT_GE(domain.size(), 100u);
+  ASSERT_LT(domain.size(), sender.symbol_count());
+  std::vector<Peer::PayloadRef> payloads;
+  sender.resolve_payloads(domain, payloads);
+  ASSERT_EQ(payloads.size(), domain.size());
+
+  const auto expect_same_stream = [&](std::uint64_t seed) {
+    util::Xoshiro256 looked_up(seed), resolved(seed), degrees(seed ^ 0xd5);
+    codec::RecodedSymbol a, b;
+    for (int i = 0; i < 40; ++i) {
+      const std::size_t degree = 1 + degrees.next_below(60);
+      sender.recode_from_into(a, domain, degree, looked_up);
+      sender.recode_resolved_into(b, domain, payloads, degree, resolved);
+      ASSERT_EQ(a.constituents, b.constituents) << "seed " << seed;
+      ASSERT_EQ(a.payload, b.payload) << "seed " << seed;
+    }
+  };
+  for (std::uint64_t seed = 1; seed <= 10; ++seed) expect_same_stream(seed);
+  // The held set only grows; resolved references survive the growth (and
+  // the known store's rehashes) unchanged.
+  for (int i = 0; i < 400; ++i) sender.receive_encoded(f.origin.next());
+  for (std::uint64_t seed = 11; seed <= 20; ++seed) expect_same_stream(seed);
+
+  // The whole working set: recode_into reads the peer's own references.
+  util::Xoshiro256 whole(7), listed(7);
+  codec::RecodedSymbol a, b;
+  sender.recode_into(a, 12, whole);
+  sender.recode_from_into(b, sender.symbol_ids(), 12, listed);
+  EXPECT_EQ(a.constituents, b.constituents);
+  EXPECT_EQ(a.payload, b.payload);
+
+  // No held filter: an unheld id is an error, not silently skipped.
+  const std::vector<std::uint64_t> unheld = {receiver.symbol_ids().front() ^
+                                             (std::uint64_t{1} << 61)};
+  util::Xoshiro256 rng(3);
+  EXPECT_ANY_THROW(sender.recode_from_into(a, unheld, 1, rng));
+  EXPECT_ANY_THROW(sender.resolve_payloads(unheld, payloads));
+  EXPECT_THROW(sender.recode_from_into(a, {}, 1, rng), std::invalid_argument);
 }
 
 TEST(Peer, SketchTracksWorkingSet) {

@@ -6,6 +6,7 @@
 // and the shards=1 golden trajectories holding with faults enabled.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -45,6 +46,14 @@ TEST(FaultPlan, CrashLastsUntilRestart) {
   EXPECT_TRUE(plan.crashed_at(3, 70));
   EXPECT_TRUE(plan.crashed_at(3, 100000));
   EXPECT_FALSE(plan.crashed_at(2, 50));  // other peers unaffected
+
+  // Only the last crash is for good: the first has a restart pending.
+  EXPECT_FALSE(plan.crashed_for_good(3, 9));
+  EXPECT_FALSE(plan.crashed_for_good(3, 10));
+  EXPECT_FALSE(plan.crashed_for_good(3, 50));
+  EXPECT_TRUE(plan.crashed_for_good(3, 70));
+  EXPECT_TRUE(plan.crashed_for_good(3, 100000));
+  EXPECT_FALSE(plan.crashed_for_good(2, 100));
 }
 
 TEST(FaultPlan, StallAndBlackoutWindowsAreHalfOpen) {
@@ -252,6 +261,40 @@ TEST(FaultDelivery, CrashedPeerIsDownThenRestartsAndCompletes) {
   }
   // The restarted peer rejoined and finished after its restart tick.
   EXPECT_GE(service.peer_completion_tick(3), 90u);
+}
+
+TEST(FaultDelivery, RunReturnsAtLastLiveCompletionDespitePermanentCrash) {
+  // The B3 swarm of bench_adaptive_overlay: 12 peers (2 origin-fed), 400
+  // blocks of 64 B, one peer crashing for good at tick 100 with an empty
+  // replacement joining. The crashed peer can never finish, so run() must
+  // return true at the survivors' last completion, not run to its horizon.
+  auto plan = std::make_shared<core::FaultPlan>();
+  plan->crashes.push_back({100, 5});
+  plan->joins.push_back({100, 1, false});
+  core::DeliveryOptions options;
+  options.block_size = 64;
+  options.session_seed = 77001;
+  options.max_peer_sessions = 2;
+  options.refresh_interval = 25;
+  options.liveness_timeout_ticks = 12;
+  options.faults = plan;
+  const auto content = random_content(400 * 64, 77001);
+  core::ShardedDelivery service(content, options);
+  add_peers(service, 12, 2);
+
+  ASSERT_TRUE(service.run(60000));
+  ASSERT_EQ(service.peer_count(), 13u);
+  EXPECT_TRUE(service.peer_down(5));
+  EXPECT_FALSE(service.peer_complete(5));
+  std::size_t last = 0;
+  for (std::size_t p = 0; p < service.peer_count(); ++p) {
+    if (p == 5) continue;
+    ASSERT_TRUE(service.peer_complete(p)) << "peer " << p;
+    EXPECT_EQ(service.peer_content(p), content) << "peer " << p;
+    last = std::max(last, service.peer_completion_tick(p));
+  }
+  EXPECT_EQ(service.ticks(), last);
+  EXPECT_LT(service.ticks(), 60000u);
 }
 
 TEST(FaultDelivery, LivenessTimeoutRecordsFailedSenderDiagnostic) {

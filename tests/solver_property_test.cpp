@@ -15,7 +15,7 @@
 #include "codec/encoder.hpp"
 #include "codec/inactivation.hpp"
 #include "codec/peeling.hpp"
-#include "codec/solver_reference.hpp"
+#include "solver_reference.hpp"
 #include "util/random.hpp"
 
 namespace icd {

@@ -269,6 +269,49 @@ TEST(LinearPermutation, RejectsBadParameters) {
   EXPECT_THROW(LinearPermutation(101, 0, 101), std::invalid_argument);
 }
 
+TEST(LinearPermutation, DivisionFreeEvaluationMatchesModularFormula) {
+  // The modular-reduction formula operator() replaced, including its
+  // uint64 wrap of (a*x mod p) + b when p > 2^63.
+  const auto reference = [](const LinearPermutation& perm, std::uint64_t x) {
+    const std::uint64_t p = perm.modulus();
+    const auto ax = static_cast<std::uint64_t>(
+        static_cast<unsigned __int128>(perm.a()) * (x % p) % p);
+    return static_cast<std::uint64_t>(ax + perm.b()) % p;
+  };
+  const std::uint64_t moduli[] = {
+      2, 3, 101,
+      4294967291ULL,              // largest prime below 2^32
+      next_prime(std::uint64_t{1} << 32),
+      next_prime(std::uint64_t{1} << 63),  // the sketch universe's modulus
+      18446744073709551557ULL,    // largest prime below 2^64
+  };
+  Xoshiro256 rng(0x5eedf00dULL);
+  for (const std::uint64_t p : moduli) {
+    // Extreme and random multipliers and offsets.
+    std::vector<std::pair<std::uint64_t, std::uint64_t>> params = {
+        {1, 0}, {1, p - 1}, {p - 1, 0}, {p - 1, p - 1}};
+    for (int i = 0; i < 6; ++i) {
+      params.emplace_back(1 + rng.next_below(p - 1), rng.next_below(p));
+    }
+    for (const auto& [a, b] : params) {
+      const LinearPermutation perm(a, b, p);
+      std::vector<std::uint64_t> xs = {0, 1, p - 1, p,
+                                       ~std::uint64_t{0},
+                                       ~std::uint64_t{0} - 1};
+      if (p <= ~std::uint64_t{0} - 1) xs.push_back(p + 1);
+      if (p <= ~std::uint64_t{0} / 2) xs.push_back(2 * p - 1);
+      for (int i = 0; i < 2000; ++i) {
+        xs.push_back(rng());                 // mostly >= p for small p
+        xs.push_back(rng.next_below(p));     // inside the universe
+      }
+      for (const std::uint64_t x : xs) {
+        ASSERT_EQ(perm(x), reference(perm, x))
+            << "p=" << p << " a=" << a << " b=" << b << " x=" << x;
+      }
+    }
+  }
+}
+
 TEST(LinearPermutation, FamilyIsDeterministicInSeed) {
   const auto f1 = make_permutation_family(1000, 8, 99);
   const auto f2 = make_permutation_family(1000, 8, 99);
