@@ -2,6 +2,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "art/reconciliation_tree.hpp"
@@ -49,7 +50,7 @@ class ArtSummary {
   std::vector<std::uint8_t> serialize() const;
   std::size_t serialized_size() const;
   void serialize_into(util::ByteWriter& out) const;
-  static ArtSummary deserialize(const std::vector<std::uint8_t>& bytes);
+  static ArtSummary deserialize(std::span<const std::uint8_t> bytes);
 
   static constexpr std::uint64_t kSummarySeed = 0x5a11ad5b100f11ULL;
 

@@ -251,12 +251,13 @@ void SenderEndpoint::tick() {
       }
       receiver_hello_ = *hello;
     } else if (auto* sketch = std::get_if<wire::SketchMessage>(&*message)) {
-      receiver_sketch_ = sketch->sketch;
+      // The decoded message is ours: move, don't copy, the summaries.
+      receiver_sketch_ = std::move(sketch->sketch);
     } else if (auto* bloom =
                    std::get_if<wire::BloomSummaryMessage>(&*message)) {
-      receiver_bloom_ = bloom->filter;
+      receiver_bloom_ = std::move(bloom->filter);
     } else if (auto* art = std::get_if<wire::ArtSummaryMessage>(&*message)) {
-      receiver_art_ = art->summary;
+      receiver_art_ = std::move(art->summary);
     } else if (auto* request = std::get_if<wire::Request>(&*message)) {
       symbols_desired_ = request->symbols_desired;
       request_seen_ = true;

@@ -202,6 +202,13 @@ class PlanningQueue {
   /// The earliest live entry (lazily skimming stale ones).
   std::optional<Event> peek();
 
+  /// `key`'s live entry time; nullopt when it has none. Read-only — the
+  /// engine's due-only service asks which peers a planned tick concerns.
+  std::optional<std::uint64_t> planned_at(std::uint64_t key) const {
+    if (key >= live_.size() || !live_[key]) return std::nullopt;
+    return live_event_[key].at;
+  }
+
   std::size_t live() const { return live_count_; }
   const Stats& stats() const { return stats_; }
 

@@ -244,14 +244,19 @@ void run_refresh_loop(
     }
     return;
   }
+  // Full pool: one snapshot for the whole refresh. teardown(me) drains
+  // only me's own downloads, so it can change me's entry and no other:
+  // re-reading me after its teardown gives every receiver exactly the
+  // view a per-receiver snapshot would.
+  std::vector<PlanPeer> plan_peers;
+  plan_peers.reserve(peer_count);
+  for (std::size_t j = 0; j < peer_count; ++j) {
+    plan_peers.push_back(snapshot(j));
+  }
   for (std::size_t me = 0; me < peer_count; ++me) {
     teardown(me);
+    plan_peers[me] = snapshot(me);
     if (is_complete(me)) continue;
-    std::vector<PlanPeer> plan_peers;
-    plan_peers.reserve(peer_count);
-    for (std::size_t j = 0; j < peer_count; ++j) {
-      plan_peers.push_back(snapshot(j));
-    }
     for (PlannedDownload& planned : plan_peer_downloads(
              me, plan_peers, options, target_symbols, session_seed_chain)) {
       create(me, planned);

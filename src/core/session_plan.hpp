@@ -57,10 +57,12 @@ std::vector<std::size_t> balance_by_cost(
     const std::vector<std::uint64_t>& cost, std::size_t shards);
 
 /// The full refresh loop: per peer in ascending order — teardown, skip if
-/// complete, snapshot *all* peers (an earlier peer's teardown tick may
-/// have grown its working set this refresh), plan, create. Teardown and
-/// create are the engine's (they own the link/endpoint types); everything
-/// that orders the seed chain lives here. Not a hot path: runs once per
+/// complete, plan against the pool, create. The pool is snapshot once per
+/// refresh; a peer's entry is re-read after its own teardown, the only
+/// call that can change it (its teardown tick may grow its working set),
+/// so each receiver sees every earlier peer's post-teardown state. Teardown
+/// and create are the engine's (they own the link/endpoint types);
+/// everything that orders the seed chain lives here. Runs once per
 /// refresh_interval ticks.
 void run_refresh_loop(
     std::size_t peer_count, const DeliveryOptions& options,

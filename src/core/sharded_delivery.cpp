@@ -60,11 +60,14 @@ void ShardedDelivery::flush_batches(Download& download) {
 
 void ShardedDelivery::release_pool_owners() {
   // The coordinator is about to stand in for the shard threads (teardown
-  // ticks, handshake starts) or has just done so: unbind every link pool
-  // so the next user — worker or coordinator — rebinds. Workers are parked
-  // at a barrier, which orders the handoff.
-  for (PeerEntry& entry : peers_) {
-    for (auto& [sender_id, download] : entry.downloads) {
+  // ticks, handshake starts) or has just done so: unbind every pool so the
+  // next user — worker or coordinator — rebinds. Workers are parked at a
+  // barrier, which orders the handoff. Local links borrow their shard's
+  // pool; each cross-shard end owns a private one. The cross worklists
+  // must be current (see rebuild_cross_senders).
+  for (ShardWork& work : shard_work_) {
+    work.frame_pool->debug_release_owner();
+    for (Download* download : work.cross_senders) {
       download->sender_transport().pool_mutable().debug_release_owner();
       download->receiver_transport().pool_mutable().debug_release_owner();
     }
@@ -121,7 +124,8 @@ void ShardedDelivery::refresh_sessions() {
         download->sender_id = planned.sender_id;
         download->receiver_id = me;
         if (shard_of(planned.sender_id) == shard_of(me)) {
-          download->local = std::make_unique<wire::ChannelLink>(planned.link);
+          download->local = std::make_unique<wire::ChannelLink>(
+              planned.link, shard_work_[shard_of(me)].frame_pool);
         } else {
           download->cross = std::make_unique<wire::ShardLink>(planned.link);
         }
@@ -145,8 +149,10 @@ void ShardedDelivery::refresh_sessions() {
       });
 
   // Rebuild the cross-sender worklists and hand the pools back to
-  // whichever thread uses them next.
+  // whichever thread uses them next. The frame pools keep what the new
+  // sessions may use; a shard left without local links keeps nothing.
   rebuild_cross_senders();
+  for (ShardWork& work : shard_work_) work.frame_pool->trim();
   release_pool_owners();
 }
 
@@ -170,6 +176,18 @@ void ShardedDelivery::teardown_download(Download& download) {
   // link's accounting matches the unbatched engine.
   flush_batches(download);
   download.flush_link();
+  // Credit the teardown tick as the lockstep loop would. It services a
+  // handshaking receiver of a live, incomplete peer on every tick, so the
+  // retry clock has counted every tick up to this one; a jumped run may
+  // have skipped some of those services, and advancing the clock to this
+  // tick credits them at once (a lockstep run gains one tick, as before).
+  // A receiver the lockstep loop left unserviced (complete or down peer)
+  // keeps the one-tick stale-clock credit.
+  const std::size_t receiver = download.receiver_id;
+  if (!peers_[receiver].peer->has_content() &&
+      !faults_.down(receiver, ticks_ > 0 ? ticks_ - 1 : 0)) {
+    download.receiver->advance_to(ticks_);
+  }
   download.receiver->tick();
   flush_batches(download);
   accumulate_link(download, retired_link_totals_);
@@ -182,11 +200,11 @@ void ShardedDelivery::apply_faults(std::uint64_t now) {
       /*on_crash=*/
       [this, &any_crash](std::size_t peer) {
         if (peer >= peers_.size()) return;
-        any_crash = true;
-        planner_dirty_ = true;
         // Coordinator stands in for the shard threads during the
         // teardown ticks; the workers are parked between pool runs.
-        release_pool_owners();
+        if (!any_crash) release_pool_owners();
+        any_crash = true;
+        planner_dirty_ = true;
         for (auto& [sender_id, download] : peers_[peer].downloads) {
           teardown_download(*download);
         }
@@ -194,7 +212,6 @@ void ShardedDelivery::apply_faults(std::uint64_t now) {
         if (peers_[peer].peer->has_content()) {
           peers_[peer].peer->compact_on_complete();
         }
-        release_pool_owners();
       },
       /*on_join=*/
       [this](std::size_t count, bool origin_fed) {
@@ -203,8 +220,11 @@ void ShardedDelivery::apply_faults(std::uint64_t now) {
         }
       });
   // Crashed peers' downloads may have been cross-shard: drop the dangling
-  // worklist entries.
-  if (any_crash) rebuild_cross_senders();
+  // worklist entries, then hand the pools back.
+  if (any_crash) {
+    rebuild_cross_senders();
+    release_pool_owners();
+  }
 }
 
 void ShardedDelivery::sweep_failed_downloads(std::uint64_t now) {
@@ -297,15 +317,22 @@ void ShardedDelivery::service_downloads(PeerEntry& entry,
   }
 }
 
-void ShardedDelivery::service_inline() {
+void ShardedDelivery::service_inline(bool due_only) {
   EventLoop& scheduler = shard_work_.front().scheduler;
-  for (PeerEntry& entry : peers_) {
+  for (std::size_t i = 0; i < peers_.size(); ++i) {
+    PeerEntry& entry = peers_[i];
     if (entry.peer->has_content()) {
       entry.pending_origin_id.reset();
       continue;
     }
     // A down peer is frozen this tick: no origin apply, no servicing.
     if (entry.faulted_at_tick_start) continue;
+    // Not due: the planner proved every one of its links idle this tick
+    // (an origin-fed peer is due every tick while incomplete).
+    if (due_only && !entry.pending_origin_id) {
+      const auto at = planner_.planned_at(i);
+      if (!at || *at > tick_now_) continue;
+    }
     // Origin feed: the coordinator reserved the id (the deterministic
     // stream order); Encoder::encode is a const pure function of it.
     if (entry.pending_origin_id) {
@@ -452,7 +479,7 @@ void ShardedDelivery::tick() {
   }
 
   if (!pool_) {
-    service_inline();
+    service_inline(due_only_service());
   } else {
     const auto start = std::chrono::steady_clock::now();
     pool_->run(send_fn_);
@@ -462,6 +489,7 @@ void ShardedDelivery::tick() {
             std::chrono::steady_clock::now() - start)
             .count());
   }
+  planned_tick_ = false;
 
   // Failure sweep before the completion stamps; the workers are parked
   // again, so the coordinator owns all state.
@@ -473,6 +501,17 @@ void ShardedDelivery::tick() {
     }
   }
   loop_.advance_to(ticks_);
+}
+
+bool ShardedDelivery::due_only_service() const {
+  if (!planned_tick_ || planner_dirty_) return false;
+  // A fault boundary (thaw, restart, window edge) changes what a peer's
+  // planned entry assumed: every peer is serviced on it.
+  if (faults_.active() && tick_now_ > 0 &&
+      faults_.next_boundary_after(tick_now_ - 1) == tick_now_) {
+    return false;
+  }
+  return true;
 }
 
 std::optional<Event> ShardedDelivery::plan_peer_events(std::size_t i,
@@ -527,16 +566,16 @@ std::optional<std::uint64_t> ShardedDelivery::next_event_time() {
   // Coordinator-only, between pool runs: the workers are parked, so every
   // shard's links and endpoints may be inspected (not mutated) here.
   // Incremental planning: one live entry per peer; full rebuilds only when
-  // the download graph changed shape, a fault boundary fell in the
-  // planning gap, or blackout windows exist; otherwise only the peers
-  // whose entries came due are replanned.
+  // the download graph changed shape or a fault boundary fell in the
+  // planning gap (blackout window edges are boundaries, so a window's
+  // links replan at its edges like any other fault); otherwise only the
+  // peers whose entries came due are replanned.
   const std::uint64_t now = ticks_;
   planner_.ensure_keys(peers_.size());
   if (plan_incomplete_.size() < peers_.size()) {
     plan_incomplete_.resize(peers_.size(), 0);
   }
-  bool full = planner_dirty_ || planner_.pending_full() ||
-              faults_.any_blackouts();
+  bool full = planner_dirty_ || planner_.pending_full();
   if (!full && faults_.active()) {
     const auto boundary = faults_.next_boundary_after(planned_through_);
     if (boundary && *boundary <= now) full = true;
@@ -561,9 +600,10 @@ std::optional<std::uint64_t> ShardedDelivery::next_event_time() {
   if (incomplete_peers_ == 0 && !faults_.pending_joins()) return std::nullopt;
   std::optional<std::uint64_t> at;
   if (const auto next = planner_.peek()) at = next->at;
-  // Fault boundaries are planning barriers.
-  if (faults_.active()) {
-    if (const auto boundary = faults_.next_boundary_after(now)) {
+  // Fault boundaries are planning barriers, including one at `now` itself:
+  // tick `now` has not run yet, so its join, thaw or restart is still ahead.
+  if (faults_.active() && now > 0) {
+    if (const auto boundary = faults_.next_boundary_after(now - 1)) {
       at = at ? std::min(*at, *boundary) : *boundary;
     }
   }
@@ -592,11 +632,15 @@ bool ShardedDelivery::run_until(std::uint64_t deadline) {
     if (!options_.link.timed() && !options_.link_config) continue;
     // Jump straight to the next tick at which anything can happen —
     // sharded ticks barrier only at event times; the span in between
-    // would have been all-shard no-ops.
+    // would have been all-shard no-ops. A round that starts clean plans
+    // every peer's entry incrementally, so the tick it picks may service
+    // only the peers that are due (service_inline).
+    const bool clean = !planner_dirty_;
     if (const auto next = next_event_time()) {
       const std::uint64_t target = std::min<std::uint64_t>(*next, deadline);
       loop_.skip_to(target);
       ticks_ = target;
+      planned_tick_ = clean && target < deadline;
     }
   }
   return all_live_complete();
@@ -682,13 +726,18 @@ std::vector<std::uint64_t> ShardedDelivery::shard_cost_units() const {
 MemoryAudit ShardedDelivery::memory_audit() const {
   MemoryAudit audit;
   audit.peers = peers_.size();
+  // Shard frame pools are lent to many links and counted here, once each.
+  for (const ShardWork& work : shard_work_) {
+    audit.link_bytes += work.frame_pool->memory_bytes();
+  }
   for (const PeerEntry& entry : peers_) {
     audit.decoder_bytes += entry.peer->memory_bytes();
     for (const auto& [sender_id, download] : entry.downloads) {
       audit.endpoint_bytes += download->sender->memory_bytes() +
                               download->receiver->memory_bytes();
-      // Each link counts its pool(s) exactly once; the transports exclude
-      // them (see Transport::memory_bytes).
+      // Each link counts the pool(s) it owns exactly once; the transports
+      // exclude them (see Transport::memory_bytes), and a local link's
+      // borrowed shard pool is counted above.
       audit.link_bytes += download->local ? download->local->memory_bytes()
                                           : download->cross->memory_bytes();
     }

@@ -281,6 +281,12 @@ class ShardedDelivery {
     /// Per-shard service ordering for local downloads (shard-local: each
     /// worker thread touches only its own event queue).
     EventLoop scheduler;
+    /// Frame buffers lent to every local ChannelLink of this shard, so a
+    /// new session's frames recycle the retired sessions' buffers instead
+    /// of allocating from empty. Shard-local like the scheduler; its bound
+    /// follows the live link count (BufferPool::kPooledPerLink).
+    std::shared_ptr<wire::BufferPool> frame_pool =
+        std::make_shared<wire::BufferPool>();
   };
 
   void refresh_sessions();
@@ -313,8 +319,14 @@ class ShardedDelivery {
                : std::max<std::size_t>(1, options_.refresh_interval);
   }
   /// The shards = 1 tick body: every peer in ascending id order applies
-  /// its reserved origin symbol, then services its downloads.
-  void service_inline();
+  /// its reserved origin symbol, then services its downloads. With
+  /// `due_only`, peers whose planner entry is not due this tick are
+  /// skipped: the planner has proven their service a no-op.
+  void service_inline(bool due_only);
+  /// Whether this tick's inline service may skip peers that are not due:
+  /// the tick was reached by run_until's planner from a clean planner, no
+  /// refresh, crash or join dirtied it since, and it is no fault boundary.
+  bool due_only_service() const;
   /// Multi-shard (shards >= 2) phases: placement-independent two-phase
   /// servicing. The send phase only *reads* swarm state (sender halves of
   /// every download, local and cross alike, draw symbols from working
@@ -390,6 +402,9 @@ class ShardedDelivery {
   bool planner_dirty_ = true;
   /// The `now` of the last planning round (fault-boundary gap detection).
   std::uint64_t planned_through_ = 0;
+  /// The tick about to run was chosen by a planning round that started
+  /// from a clean planner (see due_only_service).
+  bool planned_tick_ = false;
   /// Per-peer incompleteness mirror + count, so planning needn't rescan
   /// every peer to decide whether the swarm is done.
   std::vector<char> plan_incomplete_;

@@ -95,12 +95,12 @@ void BloomFilter::serialize_into(util::ByteWriter& out) const {
   out.varint(hashes_);
   out.u64(seed_);
   out.varint(inserted_);
-  // Byte-identical to raw(bits_.to_bytes()): u64 and to_bytes both emit
+  // Byte-identical to raw(bits_.to_bytes()): u64s and to_bytes both emit
   // each word little-endian.
-  for (const std::uint64_t word : bits_.words()) out.u64(word);
+  out.u64s(bits_.words());
 }
 
-BloomFilter BloomFilter::deserialize(const std::vector<std::uint8_t>& bytes) {
+BloomFilter BloomFilter::deserialize(std::span<const std::uint8_t> bytes) {
   util::ByteReader reader(bytes);
   const std::size_t bits = reader.varint();
   const std::size_t hashes = reader.varint();
@@ -120,7 +120,7 @@ BloomFilter BloomFilter::deserialize(const std::vector<std::uint8_t>& bytes) {
   }
   BloomFilter filter(bits, hashes, seed);
   const std::size_t words = (bits + 63) / 64;
-  filter.bits_ = util::BitVector::from_bytes(reader.raw(words * 8), bits);
+  filter.bits_ = util::BitVector::from_bytes(reader.view(words * 8), bits);
   filter.inserted_ = inserted;
   return filter;
 }

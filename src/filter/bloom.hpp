@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "util/bitvector.hpp"
@@ -84,7 +85,7 @@ class BloomFilter {
   std::vector<std::uint8_t> serialize() const;
   std::size_t serialized_size() const;
   void serialize_into(util::ByteWriter& out) const;
-  static BloomFilter deserialize(const std::vector<std::uint8_t>& bytes);
+  static BloomFilter deserialize(std::span<const std::uint8_t> bytes);
 
   static constexpr std::uint64_t kDefaultSeed = 0x1cdb10f11e500d5eULL;
 

@@ -77,11 +77,11 @@ void MinwiseSketch::serialize_into(util::ByteWriter& out) const {
   out.u64(universe_size_);
   out.u64(seed_);
   out.varint(minima_.size());
-  for (const std::uint64_t m : minima_) out.u64(m);
+  out.u64s(minima_);
 }
 
 MinwiseSketch MinwiseSketch::deserialize(
-    const std::vector<std::uint8_t>& bytes) {
+    std::span<const std::uint8_t> bytes) {
   util::ByteReader reader(bytes);
   const std::uint64_t universe = reader.u64();
   const std::uint64_t seed = reader.u64();
@@ -92,7 +92,7 @@ MinwiseSketch MinwiseSketch::deserialize(
     throw std::out_of_range("MinwiseSketch: count exceeds payload");
   }
   MinwiseSketch sketch(universe, count, seed);
-  for (std::size_t j = 0; j < count; ++j) sketch.minima_[j] = reader.u64();
+  reader.u64s(sketch.minima_);
   return sketch;
 }
 

@@ -3,6 +3,7 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "util/permutation.hpp"
@@ -77,7 +78,7 @@ class MinwiseSketch {
   std::vector<std::uint8_t> serialize() const;
   std::size_t serialized_size() const;
   void serialize_into(util::ByteWriter& out) const;
-  static MinwiseSketch deserialize(const std::vector<std::uint8_t>& bytes);
+  static MinwiseSketch deserialize(std::span<const std::uint8_t> bytes);
 
  private:
   void check_compatible(const MinwiseSketch& other) const;

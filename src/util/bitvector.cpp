@@ -4,6 +4,8 @@
 #include <bit>
 #include <stdexcept>
 
+#include "util/buffer.hpp"
+
 namespace icd::util {
 
 std::size_t BitVector::popcount() const {
@@ -41,19 +43,13 @@ std::vector<std::uint8_t> BitVector::to_bytes() const {
   return bytes;
 }
 
-BitVector BitVector::from_bytes(const std::vector<std::uint8_t>& bytes,
+BitVector BitVector::from_bytes(std::span<const std::uint8_t> bytes,
                                 std::size_t bits) {
   BitVector result(bits);
   if (bytes.size() < result.words_.size() * 8) {
     throw std::invalid_argument("BitVector::from_bytes: truncated input");
   }
-  for (std::size_t w = 0; w < result.words_.size(); ++w) {
-    std::uint64_t word = 0;
-    for (int i = 0; i < 8; ++i) {
-      word |= static_cast<std::uint64_t>(bytes[w * 8 + i]) << (8 * i);
-    }
-    result.words_[w] = word;
-  }
+  ByteReader(bytes).u64s(result.words_);
   return result;
 }
 

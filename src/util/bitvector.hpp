@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 /// Compact bit array backing the Bloom filters.
@@ -42,7 +43,7 @@ class BitVector {
   /// Serialized size in bytes (8 per word; callers prepend their own
   /// headers).
   std::vector<std::uint8_t> to_bytes() const;
-  static BitVector from_bytes(const std::vector<std::uint8_t>& bytes,
+  static BitVector from_bytes(std::span<const std::uint8_t> bytes,
                               std::size_t bits);
 
  private:

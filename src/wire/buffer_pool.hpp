@@ -42,6 +42,10 @@ class BufferPool {
   /// Buffers retained beyond this are freed on release() — bounds the
   /// memory a bursty phase (handshake fragment trains) can pin forever.
   static constexpr std::size_t kMaxPooled = 64;
+  /// A pool lent to links (the delivery engine keeps one per shard)
+  /// retains this many buffers per live borrowing link instead: the bound
+  /// follows the live link count, down to zero when none is left.
+  static constexpr std::size_t kPooledPerLink = 2;
 
   struct Stats {
     std::size_t acquires = 0;  // total acquire() calls
@@ -71,7 +75,7 @@ class BufferPool {
   void release(std::vector<std::uint8_t> buffer) {
     check_owner("release");
     ++stats_.releases;
-    if (free_.size() >= kMaxPooled) return;  // freed by destruction
+    if (free_.size() >= retain_limit()) return;  // freed by destruction
     buffer.clear();
     free_.push_back(std::move(buffer));
   }
@@ -87,10 +91,31 @@ class BufferPool {
 #endif
   }
 
+  /// Borrowing-link registry (wire::ChannelLink's pool-taking
+  /// constructor): the first borrower switches the retain bound from
+  /// kMaxPooled to kPooledPerLink per live borrower. Called where links
+  /// are built and torn down (the engine's coordinator).
+  void add_borrower() {
+    lent_ = true;
+    ++borrowers_;
+  }
+  void remove_borrower() { --borrowers_; }
+  std::size_t retain_limit() const {
+    return lent_ ? kPooledPerLink * borrowers_ : kMaxPooled;
+  }
+  /// Frees retained buffers beyond retain_limit() — for a lent pool after
+  /// its links were retired (no bytes outlive the sessions they served).
+  void trim() {
+    if (free_.size() > retain_limit()) {
+      free_.resize(retain_limit());
+      if (free_.empty()) free_.shrink_to_fit();
+    }
+  }
+
   std::size_t pooled() const { return free_.size(); }
   const Stats& stats() const { return stats_; }
 
-  /// Heap bytes the freelist pins (scale audit; counted once per link).
+  /// Heap bytes the freelist pins (scale audit; counted once per pool).
   std::size_t memory_bytes() const {
     std::size_t bytes = free_.capacity() * sizeof(std::vector<std::uint8_t>);
     for (const auto& buffer : free_) bytes += buffer.capacity();
@@ -120,6 +145,8 @@ class BufferPool {
 
   std::vector<std::vector<std::uint8_t>> free_;
   Stats stats_;
+  std::size_t borrowers_ = 0;
+  bool lent_ = false;
 #if defined(ICD_POOL_OWNER_CHECKS)
   std::atomic<std::thread::id> owner_{};
 #endif

@@ -8,6 +8,14 @@ namespace icd::wire {
 
 namespace {
 
+constexpr std::size_t blob_size(std::size_t n) {
+  return util::varint_size(n) + n;
+}
+
+std::size_t payload_size(const Hello& hello) {
+  return 4 + 8 + util::varint_size(hello.working_set_size);
+}
+
 void write_payload(util::ByteWriter& writer, const Hello& hello) {
   writer.u32(hello.block_count);
   writer.u64(hello.session_seed);
@@ -22,12 +30,20 @@ Hello read_hello(util::ByteReader& reader) {
   return hello;
 }
 
+std::size_t payload_size(const Request& request) {
+  return util::varint_size(request.symbols_desired);
+}
+
 void write_payload(util::ByteWriter& writer, const Request& request) {
   writer.varint(request.symbols_desired);
 }
 
 Request read_request(util::ByteReader& reader) {
   return Request{reader.varint()};
+}
+
+std::size_t payload_size(const RequestUpdate& update) {
+  return util::varint_size(update.symbols_remaining);
 }
 
 void write_payload(util::ByteWriter& writer, const RequestUpdate& update) {
@@ -38,6 +54,46 @@ RequestUpdate read_request_update(util::ByteReader& reader) {
   return RequestUpdate{reader.varint()};
 }
 
+// The summaries travel as size-prefixed blobs; serialized_size() is exact,
+// so they serialize straight into the frame.
+std::size_t payload_size(const SketchMessage& m) {
+  return blob_size(m.sketch.serialized_size());
+}
+
+void write_payload(util::ByteWriter& writer, const SketchMessage& m) {
+  writer.varint(m.sketch.serialized_size());
+  m.sketch.serialize_into(writer);
+}
+
+std::size_t payload_size(const BloomSummaryMessage& m) {
+  return blob_size(m.filter.serialized_size());
+}
+
+void write_payload(util::ByteWriter& writer, const BloomSummaryMessage& m) {
+  writer.varint(m.filter.serialized_size());
+  m.filter.serialize_into(writer);
+}
+
+std::size_t payload_size(const ArtSummaryMessage& m) {
+  return blob_size(m.summary.serialized_size());
+}
+
+void write_payload(util::ByteWriter& writer, const ArtSummaryMessage& m) {
+  writer.varint(m.summary.serialized_size());
+  m.summary.serialize_into(writer);
+}
+
+std::size_t payload_size(const codec::EncodedSymbolView& symbol) {
+  return 8 + blob_size(symbol.payload.size());
+}
+
+void write_payload(util::ByteWriter& writer,
+                   const codec::EncodedSymbolView& symbol) {
+  writer.u64(symbol.id);
+  writer.varint(symbol.payload.size());
+  writer.raw(symbol.payload);
+}
+
 EncodedSymbolMessage read_encoded(util::ByteReader& reader) {
   EncodedSymbolMessage message;
   message.symbol.id = reader.u64();
@@ -45,24 +101,45 @@ EncodedSymbolMessage read_encoded(util::ByteReader& reader) {
   return message;
 }
 
-RecodedSymbolMessage read_recoded(util::ByteReader& reader) {
-  RecodedSymbolMessage message;
+std::size_t payload_size(const codec::RecodedSymbolView& symbol) {
+  return util::varint_size(symbol.constituents.size()) +
+         8 * symbol.constituents.size() + blob_size(symbol.payload.size());
+}
+
+void write_payload(util::ByteWriter& writer,
+                   const codec::RecodedSymbolView& symbol) {
+  writer.varint(symbol.constituents.size());
+  writer.u64s(symbol.constituents);
+  writer.varint(symbol.payload.size());
+  writer.raw(symbol.payload);
+}
+
+/// Decodes a recoded symbol's constituent ids into `out`.
+void read_constituents(util::ByteReader& reader,
+                       std::vector<std::uint64_t>& out) {
   const std::size_t degree = reader.varint();
-  // Bound the reserve by what the payload can actually hold (8 bytes per
+  // Bound the resize by what the payload can actually hold (8 bytes per
   // constituent): a corrupt degree must fail like any truncation, not
   // attempt a giant allocation first.
   if (degree > reader.remaining() / 8) {
     throw std::out_of_range("wire: recoded degree exceeds payload");
   }
-  message.symbol.constituents.reserve(degree);
-  for (std::size_t i = 0; i < degree; ++i) {
-    message.symbol.constituents.push_back(reader.u64());
-  }
+  out.resize(degree);
+  reader.u64s(out);
+}
+
+RecodedSymbolMessage read_recoded(util::ByteReader& reader) {
+  RecodedSymbolMessage message;
+  read_constituents(reader, message.symbol.constituents);
   message.symbol.payload = reader.raw(reader.varint());
   return message;
 }
 
-void write_payload(util::ByteWriter& writer, const Fragment& fragment) {
+std::size_t payload_size(const FragmentView& fragment) {
+  return 4 + 2 + 2 + blob_size(fragment.data.size());
+}
+
+void write_payload(util::ByteWriter& writer, const FragmentView& fragment) {
   writer.u32(fragment.sequence);
   writer.u16(fragment.index);
   writer.u16(fragment.total);
@@ -79,8 +156,8 @@ Fragment read_fragment(util::ByteReader& reader) {
   return fragment;
 }
 
-std::vector<std::uint8_t> read_blob(util::ByteReader& reader) {
-  return reader.raw(reader.varint());
+std::span<const std::uint8_t> read_blob(util::ByteReader& reader) {
+  return reader.view(reader.varint());
 }
 
 }  // namespace
@@ -114,88 +191,61 @@ MessageType message_type(const Message& message) {
 
 namespace {
 
-void write_frame_header(util::ByteWriter& out, MessageType type,
-                        std::size_t payload_size) {
+/// Writes one whole frame: the capacity for header + payload is reserved
+/// first, so a frame costs at most one allocation (none on a recycled
+/// buffer that already holds it) and every byte is written exactly once.
+template <typename Payload>
+void write_frame(util::ByteWriter& out, MessageType type,
+                 const Payload& payload) {
+  const std::size_t size = payload_size(payload);
+  out.reserve_more(4 + util::varint_size(size) + size);
   out.u16(kMagic);
   out.u8(kVersion);
   out.u8(static_cast<std::uint8_t>(type));
-  out.varint(payload_size);
+  out.varint(size);
+  write_payload(out, payload);
+}
+
+template <typename Payload>
+void write_message(util::ByteWriter& out, MessageType type,
+                   const Payload& payload) {
+  write_frame(out, type, payload);
+}
+
+// The owning symbol and fragment messages encode through their views.
+void write_message(util::ByteWriter& out, MessageType,
+                   const EncodedSymbolMessage& m) {
+  encode_frame_into(out, codec::EncodedSymbolView(m.symbol));
+}
+
+void write_message(util::ByteWriter& out, MessageType,
+                   const RecodedSymbolMessage& m) {
+  encode_frame_into(out, codec::RecodedSymbolView(m.symbol));
+}
+
+void write_message(util::ByteWriter& out, MessageType, const Fragment& m) {
+  encode_frame_into(out, FragmentView{m.sequence, m.index, m.total, m.data});
 }
 
 }  // namespace
 
 void encode_frame_into(util::ByteWriter& out, const Message& message) {
-  util::ByteWriter payload;
-  encode_frame_into(out, message, payload);
-}
-
-void encode_frame_into(util::ByteWriter& out, const Message& message,
-                       util::ByteWriter& payload_scratch) {
-  // The symbol types have computable payload sizes and serialize straight
-  // into `out`; everything else (control plane) stages its payload in the
-  // scratch writer because the length prefix precedes bytes whose size only
-  // serialization reveals. The summaries serialize_into the scratch
-  // directly (size-prefixed like any blob), so nothing here allocates
-  // beyond the two writers' storage.
-  if (const auto* encoded = std::get_if<EncodedSymbolMessage>(&message)) {
-    encode_frame_into(out, codec::EncodedSymbolView(encoded->symbol));
-    return;
-  }
-  if (const auto* recoded = std::get_if<RecodedSymbolMessage>(&message)) {
-    encode_frame_into(out, codec::RecodedSymbolView(recoded->symbol));
-    return;
-  }
-
-  util::ByteWriter payload(payload_scratch.take());
-  struct Visitor {
-    util::ByteWriter& writer;
-    void operator()(const Hello& m) { write_payload(writer, m); }
-    void operator()(const SketchMessage& m) {
-      writer.varint(m.sketch.serialized_size());
-      m.sketch.serialize_into(writer);
-    }
-    void operator()(const BloomSummaryMessage& m) {
-      writer.varint(m.filter.serialized_size());
-      m.filter.serialize_into(writer);
-    }
-    void operator()(const ArtSummaryMessage& m) {
-      writer.varint(m.summary.serialized_size());
-      m.summary.serialize_into(writer);
-    }
-    void operator()(const Request& m) { write_payload(writer, m); }
-    void operator()(const EncodedSymbolMessage&) {}  // handled above
-    void operator()(const RecodedSymbolMessage&) {}  // handled above
-    void operator()(const Fragment& m) { write_payload(writer, m); }
-    void operator()(const RequestUpdate& m) { write_payload(writer, m); }
-  };
-  std::visit(Visitor{payload}, message);
-
-  write_frame_header(out, message_type(message), payload.size());
-  out.raw(payload.bytes());
-  payload_scratch = util::ByteWriter(payload.take());
+  const MessageType type = message_type(message);
+  std::visit([&](const auto& m) { write_message(out, type, m); }, message);
 }
 
 void encode_frame_into(util::ByteWriter& out,
                        const codec::EncodedSymbolView& symbol) {
-  const std::size_t payload_size =
-      8 + util::varint_size(symbol.payload.size()) + symbol.payload.size();
-  write_frame_header(out, MessageType::kEncodedSymbol, payload_size);
-  out.u64(symbol.id);
-  out.varint(symbol.payload.size());
-  out.raw(symbol.payload);
+  write_frame(out, MessageType::kEncodedSymbol, symbol);
 }
 
 void encode_frame_into(util::ByteWriter& out,
                        const codec::RecodedSymbolView& symbol) {
-  const std::size_t payload_size =
-      util::varint_size(symbol.constituents.size()) +
-      8 * symbol.constituents.size() +
-      util::varint_size(symbol.payload.size()) + symbol.payload.size();
-  write_frame_header(out, MessageType::kRecodedSymbol, payload_size);
-  out.varint(symbol.constituents.size());
-  for (const std::uint64_t id : symbol.constituents) out.u64(id);
-  out.varint(symbol.payload.size());
-  out.raw(symbol.payload);
+  write_frame(out, MessageType::kRecodedSymbol, symbol);
+}
+
+void encode_frame_into(util::ByteWriter& out, const FragmentView& fragment) {
+  write_frame(out, MessageType::kFragment, fragment);
 }
 
 std::vector<std::uint8_t> encode_frame(const Message& message) {
@@ -215,8 +265,7 @@ Message decode_from_reader(util::ByteReader& reader) {
   }
   const auto type = static_cast<MessageType>(reader.u8());
   const std::size_t length = reader.varint();
-  const auto payload_bytes = reader.raw(length);
-  util::ByteReader payload(payload_bytes);
+  util::ByteReader payload(reader.view(length));
 
   Message message = [&]() -> Message {
     switch (type) {
@@ -314,16 +363,7 @@ std::optional<SymbolFrameView> decode_symbol_frame(
       const std::uint64_t id = payload.u64();
       view.encoded.emplace(id, payload.view(payload.varint()));
     } else {
-      const std::size_t degree = payload.varint();
-      // Same corrupt-degree bound as read_recoded: reject before reserving.
-      if (degree > payload.remaining() / 8) {
-        throw std::invalid_argument("wire: recoded degree exceeds payload");
-      }
-      constituent_scratch.clear();
-      constituent_scratch.reserve(degree);
-      for (std::size_t i = 0; i < degree; ++i) {
-        constituent_scratch.push_back(payload.u64());
-      }
+      read_constituents(payload, constituent_scratch);
       view.recoded.emplace(constituent_scratch,
                            payload.view(payload.varint()));
     }

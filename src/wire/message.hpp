@@ -113,14 +113,11 @@ MessageType message_type(const Message& message);
 
 /// Appends one self-describing frame for `message` to `out`. This is the
 /// in-place API behind encode_frame: hand it a writer over a recycled
-/// buffer (wire::BufferPool) and nothing on the frame path allocates.
-/// Control payloads whose length prefix precedes bytes of unknown size are
-/// staged in `payload_scratch` when given (cleared first; hand it a writer
-/// over a second pooled buffer and control sends stop allocating too);
-/// without one, a frame-local writer is used.
+/// buffer (wire::BufferPool) and nothing on the frame path allocates. Every
+/// payload size is computable up front (the summaries' serialized_size()
+/// is exact), so the frame's exact size is reserved before the header and
+/// each byte is written once, straight into `out`.
 void encode_frame_into(util::ByteWriter& out, const Message& message);
-void encode_frame_into(util::ByteWriter& out, const Message& message,
-                       util::ByteWriter& payload_scratch);
 
 /// Symbol fast path: serializes a frame straight from non-owning views, so
 /// a sender can put a held payload on the wire without materializing an
@@ -130,6 +127,16 @@ void encode_frame_into(util::ByteWriter& out,
                        const codec::EncodedSymbolView& symbol);
 void encode_frame_into(util::ByteWriter& out,
                        const codec::RecodedSymbolView& symbol);
+
+/// Non-owning Fragment: a slice of the frame being split, encoded without
+/// copying the slice first. Byte-identical to the Fragment overload.
+struct FragmentView {
+  std::uint32_t sequence = 0;
+  std::uint16_t index = 0;
+  std::uint16_t total = 0;
+  std::span<const std::uint8_t> data;
+};
+void encode_frame_into(util::ByteWriter& out, const FragmentView& fragment);
 
 /// Serializes a message into one self-describing frame.
 std::vector<std::uint8_t> encode_frame(const Message& message);

@@ -11,7 +11,7 @@ namespace icd::wire {
 
 bool Transport::send(const Message& message) {
   // Symbol messages take the view fast path (byte-identical frames, same
-  // accounting) — it needs no payload scratch.
+  // accounting).
   if (const auto* encoded = std::get_if<EncodedSymbolMessage>(&message)) {
     return send(codec::EncodedSymbolView(encoded->symbol));
   }
@@ -19,9 +19,7 @@ bool Transport::send(const Message& message) {
     return send(codec::RecodedSymbolView(recoded->symbol));
   }
   util::ByteWriter writer(acquire_buffer());
-  util::ByteWriter payload_scratch(acquire_buffer());
-  encode_frame_into(writer, message, payload_scratch);
-  release_buffer(payload_scratch.take());
+  encode_frame_into(writer, message);
   auto frame = writer.take();
   const bool control = !is_data_type(message_type(message));
   if (frame.size() > mtu_) return send_oversized(std::move(frame), control);
@@ -99,17 +97,15 @@ bool Transport::send_oversized(std::vector<std::uint8_t> frame, bool control) {
     return false;
   }
   const std::uint32_t sequence = next_sequence_++;
+  const std::span<const std::uint8_t> whole(frame);
   for (std::size_t i = 0; i < count; ++i) {
-    Fragment fragment;
-    fragment.sequence = sequence;
-    fragment.index = static_cast<std::uint16_t>(i);
-    fragment.total = static_cast<std::uint16_t>(count);
     const std::size_t begin = i * chunk;
     const std::size_t end = std::min(frame.size(), begin + chunk);
-    fragment.data.assign(frame.begin() + static_cast<std::ptrdiff_t>(begin),
-                         frame.begin() + static_cast<std::ptrdiff_t>(end));
     util::ByteWriter writer(acquire_buffer());
-    encode_frame_into(writer, Message{std::move(fragment)});
+    encode_frame_into(writer,
+                      FragmentView{sequence, static_cast<std::uint16_t>(i),
+                                   static_cast<std::uint16_t>(count),
+                                   whole.subspan(begin, end - begin)});
     if (!send_frame(writer.take(), control)) {
       release_buffer(std::move(frame));
       return false;
@@ -258,7 +254,10 @@ std::optional<Message> Transport::absorb_fragment(Fragment fragment) {
   }
   if (++partial.received < partial.parts.size()) return std::nullopt;
 
+  std::size_t size = 0;
+  for (const auto& part : partial.parts) size += part.size();
   std::vector<std::uint8_t> whole;
+  whole.reserve(size);
   for (const auto& part : partial.parts) {
     whole.insert(whole.end(), part.begin(), part.end());
   }
@@ -315,7 +314,24 @@ ChannelLink::ChannelLink(ChannelConfig both_ways)
     : ChannelLink(both_ways, decorrelated(both_ways)) {}
 
 ChannelLink::ChannelLink(ChannelConfig a_to_b, ChannelConfig b_to_a)
-    : a_to_b_(a_to_b), b_to_a_(b_to_a), pool_(std::make_shared<BufferPool>()),
-      a_(a_to_b_, b_to_a_, pool_), b_(b_to_a_, a_to_b_, pool_) {}
+    : ChannelLink(a_to_b, b_to_a, std::make_shared<BufferPool>(),
+                  /*borrowed=*/false) {}
+
+ChannelLink::ChannelLink(ChannelConfig both_ways,
+                         std::shared_ptr<BufferPool> pool)
+    : ChannelLink(both_ways, decorrelated(both_ways), std::move(pool),
+                  /*borrowed=*/true) {}
+
+ChannelLink::ChannelLink(ChannelConfig a_to_b, ChannelConfig b_to_a,
+                         std::shared_ptr<BufferPool> pool, bool borrowed)
+    : a_to_b_(a_to_b), b_to_a_(b_to_a), pool_(std::move(pool)),
+      pool_borrowed_(borrowed), a_(a_to_b_, b_to_a_, pool_),
+      b_(b_to_a_, a_to_b_, pool_) {
+  if (pool_borrowed_) pool_->add_borrower();
+}
+
+ChannelLink::~ChannelLink() {
+  if (pool_borrowed_) pool_->remove_borrower();
+}
 
 }  // namespace icd::wire

@@ -291,6 +291,13 @@ class ChannelLink {
   /// decorrelated seed.
   explicit ChannelLink(ChannelConfig both_ways);
   ChannelLink(ChannelConfig a_to_b, ChannelConfig b_to_a);
+  /// As above, but the link borrows `pool` (shared with other links on the
+  /// same thread — the engine lends each shard's pool to its local links)
+  /// instead of owning a private one: a new link starts with warm buffers.
+  /// A borrowed pool is not charged to memory_bytes(); its lender counts
+  /// it once.
+  ChannelLink(ChannelConfig both_ways, std::shared_ptr<BufferPool> pool);
+  ~ChannelLink();
 
   /// The transports hold references into this object's channels: copying
   /// or moving would silently alias (then dangle) them.
@@ -357,19 +364,25 @@ class ChannelLink {
   }
 
   /// Heap bytes the whole edge pins: both channels' queued frames, both
-  /// transports' reassembly/scratch state, and the shared BufferPool
+  /// transports' reassembly/scratch state, and an owned BufferPool
   /// charged exactly once (the transports exclude it; see
-  /// Transport::memory_bytes).
+  /// Transport::memory_bytes). A borrowed pool is its lender's to count.
   std::size_t memory_bytes() const {
     return a_to_b_.memory_bytes() + b_to_a_.memory_bytes() +
-           pool_->memory_bytes() + a_.memory_bytes() + b_.memory_bytes();
+           (pool_borrowed_ ? 0 : pool_->memory_bytes()) + a_.memory_bytes() +
+           b_.memory_bytes();
   }
 
  private:
+  ChannelLink(ChannelConfig a_to_b, ChannelConfig b_to_a,
+              std::shared_ptr<BufferPool> pool, bool borrowed);
+
   LossyChannel a_to_b_;
   LossyChannel b_to_a_;
-  /// Shared pool, as in Pipe; frames the channels drop are simply freed.
+  /// Shared by both ends, as in Pipe; frames the channels drop are simply
+  /// freed.
   std::shared_ptr<BufferPool> pool_;
+  bool pool_borrowed_;
   ChannelTransport a_;
   ChannelTransport b_;
 };
