@@ -45,7 +45,7 @@ class BufferPool {
   /// A pool lent to links (the delivery engine keeps one per shard)
   /// retains this many buffers per live borrowing link instead: the bound
   /// follows the live link count, down to zero when none is left.
-  static constexpr std::size_t kPooledPerLink = 2;
+  static constexpr std::size_t kPooledPerLink = 1;
 
   struct Stats {
     std::size_t acquires = 0;  // total acquire() calls

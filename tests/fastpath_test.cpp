@@ -1,6 +1,7 @@
 // Tests for the zero-allocation symbol fast path: the word-wise XOR kernel
 // against its scalar reference, BufferPool recycling and hygiene, pooled
-// transport buffers (aliasing / reuse-after-release), the channel's
+// transport buffers (aliasing / reuse-after-release), a lent pool's
+// link-proportional bound, exact-size control frames, the channel's
 // one-hop queue residency, and the steady-state allocation guarantee of
 // the endpoint send path.
 //
@@ -10,6 +11,7 @@
 
 #include <atomic>
 #include <cstdlib>
+#include <memory>
 #include <new>
 #include <vector>
 
@@ -20,9 +22,13 @@
 #include "core/origin.hpp"
 #include "core/peer.hpp"
 #include "core/session.hpp"
+#include "filter/bloom.hpp"
+#include "sketch/minwise.hpp"
+#include "util/buffer.hpp"
 #include "util/random.hpp"
 #include "wire/buffer_pool.hpp"
 #include "wire/channel.hpp"
+#include "wire/message.hpp"
 #include "wire/transport.hpp"
 
 namespace {
@@ -192,6 +198,63 @@ TEST(BufferPool, BoundsRetainedBuffers) {
   }
   for (auto& b : outstanding) pool.release(std::move(b));
   EXPECT_EQ(pool.pooled(), wire::BufferPool::kMaxPooled);
+}
+
+TEST(BufferPool, LentPoolBoundFollowsLiveLinks) {
+  auto pool = std::make_shared<wire::BufferPool>();
+  const wire::ChannelConfig config;
+  auto first = std::make_unique<wire::ChannelLink>(config, pool);
+  auto second = std::make_unique<wire::ChannelLink>(config, pool);
+  EXPECT_EQ(pool->retain_limit(), 2 * wire::BufferPool::kPooledPerLink);
+
+  std::vector<std::vector<std::uint8_t>> outstanding;
+  for (std::size_t i = 0; i < wire::BufferPool::kMaxPooled; ++i) {
+    outstanding.push_back(pool->acquire());
+    outstanding.back().resize(64);
+  }
+  for (auto& b : outstanding) pool->release(std::move(b));
+  EXPECT_EQ(pool->pooled(), pool->retain_limit());
+  // A borrowing link does not charge the pool to itself; its lender does.
+  EXPECT_EQ(first->memory_bytes(), wire::ChannelLink(config).memory_bytes());
+
+  second.reset();
+  pool->trim();
+  EXPECT_EQ(pool->pooled(), wire::BufferPool::kPooledPerLink);
+  first.reset();
+  pool->trim();
+  EXPECT_EQ(pool->pooled(), 0u);
+  EXPECT_EQ(pool->memory_bytes(), 0u);
+}
+
+// --- Control frames: written once, at their exact size ----------------------
+
+TEST(ControlFrames, EncodeInOneAllocationAndNoneWhenRecycled) {
+  sketch::MinwiseSketch sketch(1 << 20, 128);
+  auto bloom = filter::BloomFilter::with_bits_per_element(500, 8.0);
+  for (std::uint64_t i = 0; i < 500; ++i) {
+    sketch.update(i * 3);
+    bloom.insert(i * 3);
+  }
+  const std::vector<wire::Message> messages = {
+      wire::Hello{64, 0x5eed, 500}, wire::SketchMessage{sketch},
+      wire::BloomSummaryMessage{bloom}, wire::Request{300}};
+  for (const wire::Message& message : messages) {
+    const auto expected = wire::encode_frame(message);
+    std::size_t before = g_allocations.load(std::memory_order_relaxed);
+    util::ByteWriter fresh;
+    wire::encode_frame_into(fresh, message);
+    EXPECT_EQ(g_allocations.load(std::memory_order_relaxed) - before, 1u);
+    EXPECT_EQ(fresh.bytes(), expected);
+    EXPECT_EQ(fresh.bytes().capacity(), expected.size());
+
+    auto recycled = fresh.take();
+    recycled.clear();
+    before = g_allocations.load(std::memory_order_relaxed);
+    util::ByteWriter reused(std::move(recycled));
+    wire::encode_frame_into(reused, message);
+    EXPECT_EQ(g_allocations.load(std::memory_order_relaxed) - before, 0u);
+    EXPECT_EQ(reused.bytes(), expected);
+  }
 }
 
 // --- Pooled transport buffers: reuse across frames --------------------------

@@ -405,6 +405,30 @@ TEST(ByteBuffer, ReaderThrowsOnUnderrun) {
   EXPECT_THROW(reader.u16(), std::out_of_range);
 }
 
+TEST(ByteBuffer, BulkWordsMatchPerWordWrites) {
+  const std::vector<std::uint64_t> words = {0, 1, 0x0123456789abcdefULL,
+                                            ~0ULL, 0x8000000000000000ULL};
+  ByteWriter bulk;
+  bulk.u8(7);  // unaligned start
+  bulk.u64s(words);
+  bulk.u64s({});
+  ByteWriter single;
+  single.u8(7);
+  for (const std::uint64_t word : words) single.u64(word);
+  EXPECT_EQ(bulk.bytes(), single.bytes());
+
+  ByteReader reader(bulk.bytes());
+  reader.u8();
+  std::vector<std::uint64_t> decoded(words.size());
+  reader.u64s(decoded);
+  EXPECT_EQ(decoded, words);
+  EXPECT_TRUE(reader.done());
+
+  ByteReader truncated(std::span(bulk.bytes()).first(bulk.size() - 1));
+  truncated.u8();
+  EXPECT_THROW(truncated.u64s(decoded), std::out_of_range);
+}
+
 TEST(ByteBuffer, VarintEncodingIsMinimal) {
   ByteWriter writer;
   writer.varint(127);
